@@ -2,21 +2,36 @@
 //! warmed [`PushWorkspace`], `forward_push_into` performs **no heap
 //! allocation at all**, for any source.
 //!
-//! The proof is a counting global allocator: every `alloc`/`realloc` in the
-//! test binary bumps an atomic, and the assertion window around the pushes
-//! must observe zero bumps.  The test is single-threaded within the window
-//! (no other test runs concurrently in this binary), so the counter is
-//! attributable to the pushes.
+//! The proof is a counting global allocator: every `alloc`/`realloc` bumps a
+//! counter of the allocating thread, and the assertion window around the
+//! pushes must observe zero bumps on the test's own thread.  The counter is
+//! per thread because the test harness runs this binary's tests in parallel:
+//! a global counter would also count the other tests' allocations.
+//! `forward_push_into` runs entirely on the calling thread, so the
+//! per-thread count is exactly the pushes' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use nrp_core::push::{forward_push_into, PushWorkspace};
 use nrp_core::DanglingPolicy;
 use nrp_graph::generators::stochastic_block_model;
 use nrp_graph::{Graph, GraphKind, NodeId};
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so reading it never allocates and
+    // stays valid during thread teardown.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAllocator;
 
@@ -25,7 +40,7 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards to `System::alloc` with the caller's layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -36,13 +51,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwards the caller's arguments to `System::realloc` verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: forwards to `System::alloc_zeroed` with the layout unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 }
@@ -78,7 +93,7 @@ fn warm_workspace_pushes_allocate_nothing() {
     // The measured window: one full sweep over every source with the warm
     // workspace must not touch the allocator.
     let mut total_pushes = 0usize;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for source in 0..n as NodeId {
         let outcome = forward_push_into(
             &graph,
@@ -91,7 +106,7 @@ fn warm_workspace_pushes_allocate_nothing() {
         .expect("push succeeds");
         total_pushes += outcome.num_pushes;
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -127,7 +142,7 @@ fn workspace_grown_from_a_smaller_graph_is_also_allocation_free() {
         )
         .expect("push succeeds");
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for source in 0..n as NodeId {
         forward_push_into(
             &graph,
@@ -139,7 +154,7 @@ fn workspace_grown_from_a_smaller_graph_is_also_allocation_free() {
         )
         .expect("push succeeds");
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -153,10 +168,10 @@ fn pre_sized_workspace_first_push_allocates_nothing() {
     let graph = test_graph();
     let n = graph.num_nodes();
     let mut ws = PushWorkspace::with_capacity(n);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     forward_push_into(&graph, 7, 0.15, 1e-4, DanglingPolicy::SelfLoop, &mut ws)
         .expect("push succeeds");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

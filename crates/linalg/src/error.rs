@@ -23,6 +23,15 @@ pub enum LinalgError {
         /// Number of iterations performed before giving up.
         iterations: usize,
     },
+    /// An input held a NaN or infinite entry.
+    NonFinite {
+        /// Name of the routine that rejected the input.
+        operation: &'static str,
+        /// Row of the first non-finite entry.
+        row: usize,
+        /// Column of the first non-finite entry.
+        col: usize,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -47,6 +56,11 @@ impl fmt::Display for LinalgError {
                     "{routine} did not converge after {iterations} iterations"
                 )
             }
+            LinalgError::NonFinite {
+                operation,
+                row,
+                col,
+            } => write!(f, "non-finite entry at ({row}, {col}) in {operation} input"),
         }
     }
 }

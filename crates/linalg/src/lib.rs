@@ -7,11 +7,15 @@
 //!
 //! * [`DenseMatrix`] — row-major dense matrices with the handful of
 //!   operations the algorithms need (products, transposes, norms).
-//! * [`qr`] — thin QR factorization by modified Gram–Schmidt with
-//!   re-orthogonalization ("twice is enough"), used to orthonormalize
-//!   randomized range bases.
-//! * [`eig`] — a cyclic Jacobi symmetric eigensolver for the small
-//!   `k' × k'` projected matrices.
+//! * [`qr`] — thin QR factorization by modified Gram–Schmidt, and the
+//!   panel-blocked classical Gram–Schmidt run twice (BCGS2) that
+//!   orthonormalizes randomized range bases: 32-column panels projected
+//!   with two matrix-shaped products over fixed row chunks, so the basis is
+//!   bitwise identical for every thread budget.
+//! * [`eig`] — a symmetric eigensolver for the small projected matrices:
+//!   Householder tridiagonalisation plus implicit-shift QL (`tred2` +
+//!   `tql2`), sequential with a fixed operation order, rejecting non-finite
+//!   input and bounding its iterations.
 //! * [`svd`] — exact SVD of small or tall-thin matrices via the
 //!   eigendecomposition of the Gram matrix.
 //! * [`randomized`] — randomized truncated SVD of large sparse operators:

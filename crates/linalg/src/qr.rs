@@ -1,10 +1,17 @@
-//! Thin QR factorization by modified Gram–Schmidt.
+//! Thin QR factorization and orthonormal range bases.
 //!
 //! Randomized SVD only needs an orthonormal basis of the sketch's column
-//! space; modified Gram–Schmidt with one re-orthogonalization pass ("twice is
+//! space.  Gram–Schmidt with one re-orthogonalization pass ("twice is
 //! enough", Giraud et al.) delivers orthogonality to machine precision for
 //! the well-conditioned sketches produced by Gaussian test matrices, at a
 //! fraction of the implementation complexity of Householder reflections.
+//! Two variants exist:
+//!
+//! * [`thin_qr`] / [`orthonormalize`] — sequential modified Gram–Schmidt,
+//!   which also returns `R`;
+//! * [`orthonormalize_exec`] — panel-blocked classical Gram–Schmidt (BCGS2)
+//!   whose block products run under an [`parallel::Exec`] policy and are
+//!   bitwise identical for every thread budget.
 
 use crate::matrix::{dot, norm2};
 use crate::{parallel, DenseMatrix, LinalgError, Result};
@@ -79,37 +86,133 @@ pub fn orthonormalize(a: &DenseMatrix) -> Result<DenseMatrix> {
     Ok(thin_qr(a)?.q)
 }
 
-/// Returns an orthonormal basis of the column space of `a` using up to
-/// `threads` scoped worker threads (see [`orthonormalize_exec`] for pooled
-/// execution).
-pub fn orthonormalize_with(a: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    orthonormalize_exec(a, &parallel::Exec::scoped(threads))
-}
+/// Width of the column panels [`orthonormalize_exec`] projects as blocks.
+/// A constant, never derived from the thread budget: it fixes which columns
+/// are projected together, and therefore every floating-point grouping.
+const PANEL: usize = 32;
 
 /// Returns an orthonormal basis of the column space of `a` under an
 /// [`parallel::Exec`] policy.
 ///
-/// Uses classical Gram–Schmidt with one re-orthogonalization pass (CGS2,
-/// "twice is enough" — Giraud et al.), whose two kernels parallelize without
-/// changing any floating-point ordering: the projection coefficients
-/// `Qᵀv` are independent whole-column dot products, and the update
-/// `v ← v − Q (Qᵀv)` is independent per row.  The result is therefore
-/// **bitwise identical for every thread budget** — the property the
-/// randomized SVD's thread-invariance contract relies on.  (It differs in the
-/// last ulps from the modified-Gram–Schmidt [`orthonormalize`], which is why
-/// the two are separate entry points: callers pick one and stay with it.)
+/// Uses panel-blocked classical Gram–Schmidt run twice (BCGS2, "twice is
+/// enough" — Giraud et al.).  Columns are taken in panels of a fixed width
+/// of 32.  Each panel `P` is projected twice against the basis `Q` kept so
+/// far with two matrix-shaped products, `C = QᵀP` and `P ← P − QC`, then
+/// orthonormalized column by column with CGS2 inside the panel; its kept
+/// columns are written straight into the output.  Nearly all the flops land
+/// in the two block products, which stream `Q` once per panel pass instead
+/// of once per column.
 ///
-/// Columns numerically dependent on earlier columns are dropped, as in
-/// [`thin_qr`].
+/// Every floating-point grouping is fixed by the problem shape alone, so the
+/// result is **bitwise identical for every thread budget and execution
+/// policy** — the property the randomized SVD's thread-invariance contract
+/// relies on:
+///
+/// * `C = QᵀP` is a sum over fixed [`parallel::REDUCE_CHUNK`]-row chunks,
+///   each accumulated in row order by one worker and folded in chunk order;
+/// * `P ← P − QC` is independent per row, each row accumulating over `Q`'s
+///   columns in ascending order;
+/// * inside a panel, each projection coefficient is one whole-column dot
+///   product and the update is independent per row, as above.
+///
+/// The result differs in the last ulps from the modified-Gram–Schmidt
+/// [`orthonormalize`], which is why the two are separate entry points:
+/// callers pick one and stay with it.
+///
+/// Columns numerically dependent on earlier columns — in the same panel or
+/// an earlier one — are dropped, with the same tolerance as [`thin_qr`]
+/// (`1e-12 · max(‖A‖_F, 1)` on the projected norm).
 pub fn orthonormalize_exec(a: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Err(LinalgError::InvalidParameter("qr of empty matrix".into()));
     }
     let tol = 1e-12 * a.frobenius_norm().max(1.0);
-    let mut q_cols: Vec<Vec<f64>> = Vec::with_capacity(n.min(m));
-    for j in 0..n {
-        let mut v = a.col(j);
+    // Kept columns fill `q` (row-major, row stride `n`) from the left; the
+    // columns right of `kept` are unused until the final compaction.
+    let mut q = vec![0.0; m * n];
+    let mut kept = 0;
+    for start in (0..n).step_by(PANEL) {
+        let width = PANEL.min(n - start);
+        let mut panel: Vec<f64> = (0..m)
+            .flat_map(|r| a.row(r)[start..start + width].iter().copied())
+            .collect();
+        if kept > 0 {
+            for _pass in 0..2 {
+                panel = project_out(&q, n, kept, &panel, width, exec);
+            }
+        }
+        let cols = (0..width).map(|t| (0..m).map(|r| panel[r * width + t]).collect());
+        for col in cgs2_columns(cols, tol, exec) {
+            for (r, &val) in col.iter().enumerate() {
+                q[r * n + kept] = val;
+            }
+            kept += 1;
+        }
+    }
+    if kept < n {
+        for r in 1..m {
+            q.copy_within(r * n..r * n + kept, r * kept);
+        }
+        q.truncate(m * kept);
+    }
+    DenseMatrix::from_vec(m, kept, q)
+}
+
+/// `P − Q(QᵀP)` for the row-major `m × width` panel `P` and the first `kept`
+/// columns of the row-major basis `q` (row stride `stride`).
+fn project_out(
+    q: &[f64],
+    stride: usize,
+    kept: usize,
+    panel: &[f64],
+    width: usize,
+    exec: &parallel::Exec,
+) -> Vec<f64> {
+    let m = panel.len() / width;
+    let basis_row = |r: usize| &q[r * stride..r * stride + kept];
+    let panel_row = |r: usize| &panel[r * width..(r + 1) * width];
+    // C = QᵀP (kept × width), a sum of per-row outer products.
+    let partial = |rows: std::ops::Range<usize>| {
+        let mut c = vec![0.0; kept * width];
+        for r in rows {
+            let p = panel_row(r);
+            for (c_i, &q_ri) in c.chunks_exact_mut(width).zip(basis_row(r)) {
+                for (c_ij, &p_j) in c_i.iter_mut().zip(p) {
+                    *c_ij += q_ri * p_j;
+                }
+            }
+        }
+        c
+    };
+    let c = parallel::par_reduce_exec(m, parallel::REDUCE_CHUNK, exec, partial, |mut acc, c| {
+        for (a, b) in acc.iter_mut().zip(&c) {
+            *a += b;
+        }
+        acc
+    })
+    .unwrap_or_default();
+    // P − QC, row by row.
+    parallel::par_fill_rows_exec(m, width, exec, |r, out| {
+        out.copy_from_slice(panel_row(r));
+        for (c_i, &q_ri) in c.chunks_exact(width).zip(basis_row(r)) {
+            for (o, &c_ij) in out.iter_mut().zip(c_i) {
+                *o -= q_ri * c_ij;
+            }
+        }
+    })
+}
+
+/// Column-by-column CGS2 of `cols` among themselves: returns the normalized
+/// columns that keep a projected norm above `tol`, in input order.
+fn cgs2_columns(
+    cols: impl Iterator<Item = Vec<f64>>,
+    tol: f64,
+    exec: &parallel::Exec,
+) -> Vec<Vec<f64>> {
+    let mut q_cols: Vec<Vec<f64>> = Vec::new();
+    for mut v in cols {
+        let m = v.len();
         for _pass in 0..2 {
             if q_cols.is_empty() {
                 break;
@@ -155,14 +258,7 @@ pub fn orthonormalize_exec(a: &DenseMatrix, exec: &parallel::Exec) -> Result<Den
         }
         // else: dependent column, dropped.
     }
-    let k = q_cols.len();
-    let mut q = DenseMatrix::zeros(m, k);
-    for (jq, col) in q_cols.iter().enumerate() {
-        for (i, &val) in col.iter().enumerate() {
-            q.set(i, jq, val);
-        }
-    }
-    Ok(q)
+    q_cols
 }
 
 /// Measures how far the columns of `q` are from orthonormality:
@@ -183,6 +279,7 @@ pub fn orthogonality_defect(q: &DenseMatrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Exec;
     use crate::random::gaussian_matrix;
 
     #[test]
@@ -243,13 +340,13 @@ mod tests {
     fn empty_matrix_rejected() {
         let a = DenseMatrix::zeros(0, 0);
         assert!(thin_qr(&a).is_err());
-        assert!(orthonormalize_with(&a, 4).is_err());
+        assert!(orthonormalize_exec(&a, &Exec::scoped(4)).is_err());
     }
 
     #[test]
     fn cgs2_basis_is_orthonormal_and_spans_the_input() {
         let a = gaussian_matrix(60, 9, 17);
-        let q = orthonormalize_with(&a, 3).unwrap();
+        let q = orthonormalize_exec(&a, &Exec::scoped(3)).unwrap();
         assert_eq!(q.shape(), (60, 9));
         assert!(orthogonality_defect(&q) < 1e-12);
         // Same column space as the MGS basis: projectors agree.
@@ -259,16 +356,33 @@ mod tests {
         assert!(p1.sub(&p2).unwrap().frobenius_norm() < 1e-10);
     }
 
+    /// A tall matrix spanning three panels and three row-reduction chunks
+    /// whose column 40 (second panel) is a combination of columns 3 and 17
+    /// (first panel).
+    fn multi_panel_input() -> DenseMatrix {
+        let (rows, cols) = (2 * parallel::REDUCE_CHUNK + 808, 2 * PANEL + 6);
+        let mut a = gaussian_matrix(rows, cols, 29);
+        for r in 0..rows {
+            let v = 2.0 * a.get(r, 3) - 0.5 * a.get(r, 17);
+            a.set(r, 40, v);
+        }
+        a
+    }
+
     #[test]
     fn cgs2_is_bitwise_invariant_across_thread_counts() {
-        let a = gaussian_matrix(123, 11, 23);
-        let reference = orthonormalize_with(&a, 1).unwrap();
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                orthonormalize_with(&a, threads).unwrap(),
-                reference,
-                "threads = {threads}"
-            );
+        let pool = std::sync::Arc::new(parallel::WorkerPool::new(2));
+        for a in [gaussian_matrix(123, 11, 23), multi_panel_input()] {
+            let reference = orthonormalize_exec(&a, &Exec::scoped(1)).unwrap();
+            for exec in [
+                Exec::scoped(2),
+                Exec::scoped(4),
+                Exec::scoped(8),
+                Exec::pooled(pool.clone(), 2),
+            ] {
+                let q = orthonormalize_exec(&a, &exec).unwrap();
+                assert_eq!(q, reference, "{:?} under {exec:?}", a.shape());
+            }
         }
     }
 
@@ -281,8 +395,17 @@ mod tests {
             &[2.0, 0.0, 2.0],
         ])
         .unwrap();
-        let q = orthonormalize_with(&a, 2).unwrap();
+        let q = orthonormalize_exec(&a, &Exec::scoped(2)).unwrap();
         assert_eq!(q.cols(), 2);
         assert!(orthogonality_defect(&q) < 1e-12);
+        // A column dependent on an earlier panel is removed by the block
+        // projections, and the basis still spans the input.
+        let a = multi_panel_input();
+        let q = orthonormalize_exec(&a, &Exec::scoped(2)).unwrap();
+        assert_eq!(q.shape(), (a.rows(), a.cols() - 1));
+        assert!(orthogonality_defect(&q) < 1e-13);
+        let projected = q.matmul(&q.transpose_matmul(&a).unwrap()).unwrap();
+        let residual = a.sub(&projected).unwrap().frobenius_norm();
+        assert!(residual < 1e-10 * a.frobenius_norm(), "residual {residual}");
     }
 }

@@ -262,6 +262,18 @@ fn every_exec_kernel_is_bitwise_thread_invariant() {
     let seq = orthonormalize_exec(&tall, &sequential).expect("full rank");
     let par = orthonormalize_exec(&tall, &parallel).expect("full rank");
     assert_eq!(seq.data(), par.data(), "orthonormalize_exec");
+    // The blocked path: several 32-column panels and several REDUCE_CHUNK
+    // row chunks, with column 70 (third panel) a combination of columns 5
+    // and 40 (first and second panels), which both policies must drop.
+    let mut wide = nrp::linalg::random::gaussian_matrix(9000, 100, 12);
+    for r in 0..wide.rows() {
+        let v = wide.get(r, 5) - 3.0 * wide.get(r, 40);
+        wide.set(r, 70, v);
+    }
+    let seq = orthonormalize_exec(&wide, &sequential).expect("non-empty");
+    let par = orthonormalize_exec(&wide, &parallel).expect("non-empty");
+    assert_eq!(seq.shape(), (9000, 99), "dependent column dropped");
+    assert_eq!(seq.data(), par.data(), "orthonormalize_exec, multi-panel");
 
     // Walk kernels: uniform_walks_exec / node2vec_walks_exec.
     let graph = test_graph(GraphKind::Undirected, 41);
