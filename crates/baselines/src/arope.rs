@@ -91,6 +91,7 @@ impl Embedder for Arope {
         ctx.ensure_active()?;
         let seed = ctx.seed_or(p.seed);
         let threads = ctx.thread_budget();
+        let exec = ctx.exec();
         let mut clock = StageClock::start();
         let half = (p.dimension / 2).max(1);
         // Symmetrize: work on the undirected version of the graph (AROPE is
@@ -106,14 +107,14 @@ impl Embedder for Arope {
             .iterations(p.iterations)
             .method(RandomizedSvdMethod::BlockKrylov)
             .seed(seed)
-            .exec(ctx.exec())
+            .exec(exec.clone())
             .compute(&op)?;
         clock.lap_parallel("eigensolve", threads);
         ctx.ensure_active()?;
         // Rayleigh–Ritz on the orthonormal basis U: T = Uᵀ A U (small), then
         // eigenvectors of T rotated back give signed eigenpairs of A.
         let basis = &svd.u;
-        let au = op.apply_with(basis, threads)?;
+        let au = op.apply_exec(basis, &exec)?;
         let projected = basis.transpose_matmul(&au)?;
         let eig = symmetric_eigen(&projected)?;
         // Select the `half` eigenvalues with the largest |f(λ)| and scale by

@@ -1,7 +1,7 @@
 //! Random-walk engines shared by the walk-based baselines.
 //!
-//! * [`uniform_walks`] — DeepWalk-style truncated uniform random walks.
-//! * [`node2vec_walks`] — second-order biased walks with return parameter `p`
+//! * [`uniform_walks_exec`] — DeepWalk-style truncated uniform random walks.
+//! * [`node2vec_walks_exec`] — second-order biased walks with return parameter `p`
 //!   and in-out parameter `q`.
 //! * [`ppr_terminal`] — samples the terminal node of an α-decaying walk, i.e.
 //!   a sample from the PPR distribution of the start node (used by VERSE and
@@ -28,26 +28,6 @@ const NODE_CHUNK: usize = 64;
 fn node_stream(seed: u64, node: NodeId) -> ChaCha8Rng {
     // seed_from_u64 expands through SplitMix64, so the xor'd keys decorrelate.
     ChaCha8Rng::seed_from_u64(seed ^ node as u64)
-}
-
-/// Generates `walks_per_node` uniform random walks of length `walk_length`
-/// from every node (walks stop early at dangling nodes), using up to
-/// `threads` scoped worker threads (see [`uniform_walks_exec`] for pooled
-/// execution).
-pub fn uniform_walks(
-    graph: &Graph,
-    walks_per_node: usize,
-    walk_length: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Vec<NodeId>> {
-    uniform_walks_exec(
-        graph,
-        walks_per_node,
-        walk_length,
-        seed,
-        &parallel::Exec::scoped(threads),
-    )
 }
 
 /// Generates `walks_per_node` uniform random walks of length `walk_length`
@@ -93,29 +73,6 @@ pub fn uniform_walks_exec(
 }
 
 /// Generates node2vec walks with return parameter `p` and in-out parameter
-/// `q` (Grover & Leskovec 2016), using up to `threads` scoped worker threads
-/// (see [`node2vec_walks_exec`] for pooled execution).
-pub fn node2vec_walks(
-    graph: &Graph,
-    walks_per_node: usize,
-    walk_length: usize,
-    p: f64,
-    q: f64,
-    seed: u64,
-    threads: usize,
-) -> Vec<Vec<NodeId>> {
-    node2vec_walks_exec(
-        graph,
-        walks_per_node,
-        walk_length,
-        p,
-        q,
-        seed,
-        &parallel::Exec::scoped(threads),
-    )
-}
-
-/// Generates node2vec walks with return parameter `p` and in-out parameter
 /// `q` (Grover & Leskovec 2016), under an [`parallel::Exec`] policy.
 /// Transition weights from `prev -> current -> next` are `1/p` if `next ==
 /// prev`, `1` if `next` is a neighbour of `prev`, and `1/q` otherwise;
@@ -123,7 +80,7 @@ pub fn node2vec_walks(
 /// here are small enough that building per-step weight vectors is cheaper
 /// than precomputing alias tables for every edge pair).
 ///
-/// Ordering and determinism follow [`uniform_walks`]: per-node RNG streams,
+/// Ordering and determinism follow [`uniform_walks_exec`]: per-node RNG streams,
 /// walks grouped by ascending start node, bitwise identical for every thread
 /// budget and execution policy.
 pub fn node2vec_walks_exec(
@@ -235,11 +192,17 @@ mod tests {
     use nrp_graph::generators::simple::{cycle, directed_path, star};
     use nrp_graph::generators::stochastic_block_model;
     use nrp_graph::GraphKind;
+    use nrp_linalg::parallel::{Exec, WorkerPool};
+    use std::sync::Arc;
+
+    fn pooled(threads: usize) -> Exec {
+        Exec::pooled(Arc::new(WorkerPool::new(threads)), threads)
+    }
 
     #[test]
     fn uniform_walks_have_requested_shape() {
         let g = cycle(10).unwrap();
-        let walks = uniform_walks(&g, 3, 8, 1, 1);
+        let walks = uniform_walks_exec(&g, 3, 8, 1, &Exec::sequential());
         assert_eq!(walks.len(), 30);
         assert!(walks.iter().all(|w| w.len() == 8));
         // Every consecutive pair must be an arc.
@@ -258,10 +221,10 @@ mod tests {
     fn uniform_walks_are_bitwise_invariant_across_thread_counts() {
         let (g, _) =
             stochastic_block_model(&[40, 40], 0.2, 0.03, GraphKind::Undirected, 9).unwrap();
-        let reference = uniform_walks(&g, 4, 12, 7, 1);
+        let reference = uniform_walks_exec(&g, 4, 12, 7, &Exec::sequential());
         for threads in [2usize, 3, 8] {
             assert_eq!(
-                uniform_walks(&g, 4, 12, 7, threads),
+                uniform_walks_exec(&g, 4, 12, 7, &pooled(threads)),
                 reference,
                 "threads = {threads}"
             );
@@ -271,10 +234,10 @@ mod tests {
     #[test]
     fn node2vec_walks_are_bitwise_invariant_across_thread_counts() {
         let (g, _) = stochastic_block_model(&[35, 35], 0.2, 0.03, GraphKind::Directed, 11).unwrap();
-        let reference = node2vec_walks(&g, 3, 10, 0.5, 2.0, 13, 1);
+        let reference = node2vec_walks_exec(&g, 3, 10, 0.5, 2.0, 13, &Exec::sequential());
         for threads in [2usize, 4] {
             assert_eq!(
-                node2vec_walks(&g, 3, 10, 0.5, 2.0, 13, threads),
+                node2vec_walks_exec(&g, 3, 10, 0.5, 2.0, 13, &pooled(threads)),
                 reference,
                 "threads = {threads}"
             );
@@ -284,7 +247,7 @@ mod tests {
     #[test]
     fn walks_stop_at_dangling_nodes() {
         let g = directed_path(4).unwrap();
-        let walks = uniform_walks(&g, 1, 10, 2, 1);
+        let walks = uniform_walks_exec(&g, 1, 10, 2, &Exec::sequential());
         // The walk starting at node 3 (dangling) has length 1.
         let w3 = walks.iter().find(|w| w[0] == 3).unwrap();
         assert_eq!(w3.len(), 1);
@@ -296,7 +259,7 @@ mod tests {
     fn node2vec_low_p_returns_often() {
         // With p << 1 the walk frequently returns to the previous node.
         let g = cycle(20).unwrap();
-        let walks = node2vec_walks(&g, 2, 30, 0.05, 1.0, 3, 1);
+        let walks = node2vec_walks_exec(&g, 2, 30, 0.05, 1.0, 3, &Exec::sequential());
         let mut returns = 0usize;
         let mut steps = 0usize;
         for walk in &walks {
@@ -308,7 +271,7 @@ mod tests {
             }
         }
         let return_rate_low_p = returns as f64 / steps as f64;
-        let walks = node2vec_walks(&g, 2, 30, 20.0, 1.0, 3, 1);
+        let walks = node2vec_walks_exec(&g, 2, 30, 20.0, 1.0, 3, &Exec::sequential());
         let mut returns_high = 0usize;
         let mut steps_high = 0usize;
         for walk in &walks {
@@ -329,7 +292,7 @@ mod tests {
     #[test]
     fn node2vec_walks_follow_arcs() {
         let (g, _) = stochastic_block_model(&[15, 15], 0.3, 0.05, GraphKind::Directed, 5).unwrap();
-        let walks = node2vec_walks(&g, 1, 6, 1.0, 2.0, 5, 2);
+        let walks = node2vec_walks_exec(&g, 1, 6, 1.0, 2.0, 5, &pooled(2));
         for walk in &walks {
             for pair in walk.windows(2) {
                 assert!(g.has_arc(pair[0], pair[1]));

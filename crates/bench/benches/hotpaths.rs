@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the three performance-substrate hot paths:
 //!
-//! * **pool vs. scoped dispatch** — many tiny chunk maps, the shape of an
-//!   embedding's kernel stream (propagation hops × Krylov iterations × CGS2
-//!   passes): the persistent [`WorkerPool`] pays thread spawn once, the
-//!   scoped path pays it per call.
+//! * **pooled vs. sequential dispatch** — many tiny chunk maps, the shape of
+//!   an embedding's kernel stream (propagation hops × Krylov iterations ×
+//!   CGS2 passes): the persistent [`WorkerPool`] pays thread spawn once and
+//!   a dispatch per call, against running every chunk on the caller.
 //! * **push workspace reuse** — per-source forward push with a reused
 //!   [`PushWorkspace`] (epoch-stamped sparse reset, zero allocation) vs. a
 //!   fresh workspace per source (three `O(n)` allocations each).
@@ -29,7 +29,7 @@ fn graph(nodes: usize, edges: usize) -> Graph {
     erdos_renyi_nm(nodes, edges, GraphKind::Directed, 7).expect("valid ER parameters")
 }
 
-fn bench_pool_vs_scoped(c: &mut Criterion) {
+fn bench_pool_vs_sequential(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch");
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(500));
@@ -37,8 +37,8 @@ fn bench_pool_vs_scoped(c: &mut Criterion) {
     let threads = 4;
     let calls = 200;
     let n = 1024;
-    group.bench_function(BenchmarkId::new("scoped", threads), |b| {
-        let exec = Exec::scoped(threads);
+    group.bench_function(BenchmarkId::new("sequential", 1), |b| {
+        let exec = Exec::sequential();
         b.iter(|| black_box(kernel_stream(&exec, calls, n)));
     });
     group.bench_function(BenchmarkId::new("pooled", threads), |b| {
@@ -92,7 +92,7 @@ fn bench_csr_assembly(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_pool_vs_scoped,
+    bench_pool_vs_sequential,
     bench_push_workspace,
     bench_csr_assembly
 );

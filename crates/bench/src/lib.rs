@@ -13,7 +13,7 @@
 //! `--dim <k>` to override the embedding dimensionality, `--seed <s>`,
 //! `--threads <t>` for the [`EmbedContext`](nrp_core::EmbedContext) budget,
 //! and `--config <file.json|file.toml>` pointing at a [`SweepSpec`] document
-//! — a declarative list of [`MethodConfig`](nrp_core::MethodConfig) entries
+//! — a declarative list of [`MethodConfig`] entries
 //! plus sweep-level fields (scale, datasets, seeds, repeats, thread budgets)
 //! that replaces each binary's hard-coded method roster.
 

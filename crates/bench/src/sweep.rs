@@ -1,7 +1,7 @@
 //! Config-file-driven benchmark sweeps.
 //!
 //! A [`SweepSpec`] is a declarative experiment: a list of
-//! [`MethodConfig`](nrp_core::MethodConfig) documents plus sweep-level fields
+//! [`MethodConfig`] documents plus sweep-level fields
 //! (dataset scale and filter, seeds, repeats, thread budgets, a uniform
 //! dimension override).  Every harness binary accepts `--config <file>`
 //! pointing at one, so the paper's (method × dataset × hyper-parameter) grid

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! [`MethodConfig::build`] resolves a configuration to a boxed
-//! [`Embedder`](crate::embedding::Embedder) through a process-wide registry.
+//! [`Embedder`] through a process-wide registry.
 //! `nrp-core` registers its own two methods (`NRP`, `ApproxPPR`) on first
 //! use; the nine baselines live in the downstream `nrp-baselines` crate,
 //! which cannot be a dependency of this one, so they join the registry when

@@ -40,11 +40,9 @@ use crate::{NrpError, Result};
 /// and shared by every stage of every embedding run under this context (and
 /// its clones).  Thread-spawn cost is therefore paid **once per context**,
 /// not once per kernel invocation — an embedding issues thousands of small
-/// parallel stages (propagation hops × Krylov iterations × CGS2 passes), and
-/// under the historical scoped-thread policy each paid a spawn/join round
-/// trip.  Pooled and scoped execution are bitwise identical; choose scoped
-/// explicitly with [`EmbedContext::with_scoped_threads`] (e.g. to
-/// cross-check, or for one-shot runs where pool startup isn't worth it).
+/// parallel stages (propagation hops × Krylov iterations × CGS2 passes).
+/// A single-thread budget runs everything on the calling thread and never
+/// creates a pool; the result is bitwise identical either way.
 #[derive(Debug, Clone, Default)]
 pub struct EmbedContext {
     seed: Option<u64>,
@@ -55,7 +53,6 @@ pub struct EmbedContext {
     // pool too: whichever context (original or clone) runs first initializes
     // the one cell every sibling reads.
     pool: Arc<OnceLock<Arc<WorkerPool>>>,
-    scoped_only: bool,
     partial_results: bool,
     metrics: MetricsHandle,
 }
@@ -78,12 +75,10 @@ impl EmbedContext {
     ///
     /// Multi-thread budgets run on a persistent [`WorkerPool`] owned by this
     /// context (created lazily, reused across stages and runs, and shared
-    /// with clones of this context).  See
-    /// [`EmbedContext::with_scoped_threads`] for per-call scoped threads.
+    /// with clones of this context).
     pub fn with_threads(mut self, threads: usize) -> Self {
         let threads = threads.max(1);
         self.threads = NonZeroUsize::new(threads);
-        self.scoped_only = false;
         // A pool created for a smaller previous budget would silently clamp
         // the new one (dispatch caps workers at pool capacity), so detach
         // from it and let the next run create a right-sized pool.  Clones
@@ -98,23 +93,12 @@ impl EmbedContext {
         self
     }
 
-    /// Grants a thread budget served by fresh `std::thread::scope` workers
-    /// per kernel call instead of the context's persistent pool.  Results
-    /// are bitwise identical to pooled execution; this exists for one-shot
-    /// runs and for tests that cross-check the two policies.
-    pub fn with_scoped_threads(mut self, threads: usize) -> Self {
-        self.threads = NonZeroUsize::new(threads.max(1));
-        self.scoped_only = true;
-        self
-    }
-
     /// Attaches an existing worker pool, sharing it with other contexts
     /// (e.g. one pool across a whole benchmark sweep).  The thread budget is
     /// still set separately via [`EmbedContext::with_threads`] and is
     /// clamped to the pool's capacity at dispatch time.
     pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Arc::new(OnceLock::from(pool));
-        self.scoped_only = false;
         self
     }
 
@@ -124,18 +108,15 @@ impl EmbedContext {
         self.pool.get()
     }
 
-    /// The execution policy embedders hand to every parallel kernel: the
-    /// thread budget plus this context's persistent [`WorkerPool`] (created
-    /// on first use for multi-thread budgets, unless
-    /// [`EmbedContext::with_scoped_threads`] opted out).  The policy never
-    /// affects results — only where worker threads come from.
+    /// The execution policy embedders hand to every parallel kernel:
+    /// sequential for a single-thread budget, otherwise the thread budget
+    /// plus this context's persistent [`WorkerPool`] (created on first use).
+    /// The policy never affects results — only where worker threads come
+    /// from.
     pub fn exec(&self) -> Exec {
         let threads = self.thread_budget();
         if threads <= 1 {
             return Exec::sequential();
-        }
-        if self.scoped_only {
-            return Exec::scoped(threads);
         }
         let pool = self
             .pool
@@ -449,11 +430,10 @@ mod tests {
             "a large-enough pool is kept"
         );
         assert_eq!(lowered.exec().threads(), 2);
-        // Scoped opt-out produces a pool-less policy.
-        let scoped = EmbedContext::new().with_scoped_threads(4);
-        assert_eq!(scoped.exec().threads(), 4);
-        assert!(scoped.exec().pool().is_none());
-        assert!(scoped.worker_pool().is_none());
+        // A single-thread budget stays sequential even with a pool created.
+        let single = lowered.with_threads(1);
+        assert!(!single.exec().is_parallel());
+        assert!(single.exec().pool().is_none());
         // An attached pool is used as-is.
         let shared = Arc::new(WorkerPool::new(2));
         let ctx = EmbedContext::new()

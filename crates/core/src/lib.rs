@@ -51,7 +51,8 @@ pub mod push;
 pub mod reweight;
 
 /// Deterministic data-parallel primitives (re-exported from `nrp-linalg`):
-/// scoped-thread chunked map/reduce with stable chunk ordering.  Everything
+/// chunked map/reduce with stable chunk ordering, run sequentially or on a
+/// persistent worker pool via an `Exec` policy.  Everything
 /// built on this module is bitwise identical for any thread budget — the
 /// contract behind [`EmbedContext::with_threads`](context::EmbedContext).
 pub use nrp_linalg::parallel;

@@ -28,9 +28,10 @@
 //! * [`random`] — seeded Gaussian matrix generation (Box–Muller).
 //! * [`parallel`] — deterministic chunked map/reduce with stable chunk
 //!   ordering; every multi-threaded kernel in the workspace is built on it
-//!   and is bitwise identical for any thread budget.  Work runs either on
-//!   per-call scoped threads or on a persistent [`WorkerPool`] selected by an
-//!   [`Exec`] policy — same chunk grid, same results, spawn cost paid once.
+//!   and is bitwise identical for any thread budget.  Each kernel's one
+//!   threaded entry point takes an [`Exec`] policy: the calling thread alone,
+//!   or a persistent [`WorkerPool`] — same chunk grid, same results, spawn
+//!   cost paid once per pool.
 
 // Unsafe is denied everywhere except the two documented blocks in
 // `parallel` (lifetime erasure for pool jobs, disjoint row-block writes),

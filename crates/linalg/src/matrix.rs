@@ -157,31 +157,9 @@ impl DenseMatrix {
         out
     }
 
-    /// Matrix product `self * other`.
+    /// Matrix product `self * other` on the calling thread.
     pub fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                operation: "matmul".into(),
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        // i-k-j loop order: streams over `other` rows, cache friendly for row-major data.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (j, &b_kj) in b_row.iter().enumerate() {
-                    out_row[j] += a_ik * b_kj;
-                }
-            }
-        }
-        Ok(out)
+        self.matmul_exec(other, &parallel::Exec::sequential())
     }
 
     /// Product `selfᵀ * other` without materializing the transpose.
@@ -237,17 +215,12 @@ impl DenseMatrix {
             .expect("gram shapes always agree")
     }
 
-    /// [`DenseMatrix::matmul`] over up to `threads` scoped worker threads
-    /// (see [`DenseMatrix::matmul_exec`] for pooled execution).
-    pub fn matmul_with(&self, other: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.matmul_exec(other, &parallel::Exec::scoped(threads))
-    }
-
-    /// [`DenseMatrix::matmul`] under an [`parallel::Exec`] policy.
+    /// Matrix product `self * other` under an [`parallel::Exec`] policy.
     ///
-    /// Every output row is produced by one worker with the same inner loop as
-    /// the sequential product, so the result is bitwise identical to
-    /// [`DenseMatrix::matmul`] for every thread budget and execution policy.
+    /// Every output row is produced by one worker with a fixed i-k-j inner
+    /// loop (streaming over `other`'s rows, cache friendly for row-major
+    /// data), so the result is bitwise identical for every thread budget and
+    /// execution policy.
     pub fn matmul_exec(&self, other: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -255,9 +228,6 @@ impl DenseMatrix {
                 left: self.shape(),
                 right: other.shape(),
             });
-        }
-        if !exec.is_parallel() {
-            return self.matmul(other);
         }
         let data = parallel::par_fill_rows_exec(self.rows, other.cols, exec, |i, out_row| {
             let a_row = self.row(i);
@@ -272,17 +242,6 @@ impl DenseMatrix {
             }
         });
         DenseMatrix::from_vec(self.rows, other.cols, data)
-    }
-
-    /// `selfᵀ * other` as a deterministic chunked map-reduce over up to
-    /// `threads` scoped worker threads (see
-    /// [`DenseMatrix::transpose_matmul_exec`] for pooled execution).
-    pub fn transpose_matmul_with(
-        &self,
-        other: &DenseMatrix,
-        threads: usize,
-    ) -> Result<DenseMatrix> {
-        self.transpose_matmul_exec(other, &parallel::Exec::scoped(threads))
     }
 
     /// `selfᵀ * other` as a deterministic chunked map-reduce under an
@@ -334,14 +293,6 @@ impl DenseMatrix {
             },
         );
         Ok(folded.unwrap_or_else(|| DenseMatrix::zeros(self.cols, other.cols)))
-    }
-
-    /// Gram matrix `selfᵀ * self` over up to `threads` scoped worker threads
-    /// (see [`DenseMatrix::transpose_matmul_with`] for the determinism
-    /// contract).
-    pub fn gram_with(&self, threads: usize) -> DenseMatrix {
-        self.transpose_matmul_with(self, threads)
-            .expect("gram shapes always agree")
     }
 
     /// Gram matrix `selfᵀ * self` under an [`parallel::Exec`] policy (see
@@ -522,6 +473,8 @@ pub fn norm2(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{Exec, WorkerPool};
+    use std::sync::Arc;
 
     fn approx_eq(a: &DenseMatrix, b: &DenseMatrix, tol: f64) -> bool {
         a.shape() == b.shape()
@@ -658,14 +611,18 @@ mod tests {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
+    fn pooled(threads: usize) -> Exec {
+        Exec::pooled(Arc::new(WorkerPool::new(threads)), threads)
+    }
+
     #[test]
-    fn matmul_with_is_bitwise_equal_to_sequential() {
+    fn matmul_exec_is_bitwise_equal_to_sequential() {
         let a = DenseMatrix::from_fn(67, 31, |i, j| ((i * 31 + j) % 13) as f64 * 0.37 - 1.1);
         let b = DenseMatrix::from_fn(31, 9, |i, j| ((i + 2 * j) % 7) as f64 * 0.21 + 0.4);
         let sequential = a.matmul(&b).unwrap();
         for threads in [1usize, 2, 3, 8] {
             assert_eq!(
-                a.matmul_with(&b, threads).unwrap(),
+                a.matmul_exec(&b, &pooled(threads)).unwrap(),
                 sequential,
                 "threads = {threads}"
             );
@@ -673,25 +630,31 @@ mod tests {
     }
 
     #[test]
-    fn transpose_matmul_with_is_thread_invariant_and_accurate() {
+    fn transpose_matmul_exec_is_thread_invariant_and_accurate() {
         let a = DenseMatrix::from_fn(143, 5, |i, j| ((i * 5 + j) % 11) as f64 * 0.3 - 0.9);
         let b = DenseMatrix::from_fn(143, 4, |i, j| ((i + j) % 9) as f64 * 0.17 + 0.2);
-        let reference = a.transpose_matmul_with(&b, 1).unwrap();
+        let reference = a.transpose_matmul_exec(&b, &Exec::sequential()).unwrap();
         for threads in [2usize, 4, 7] {
-            assert_eq!(a.transpose_matmul_with(&b, threads).unwrap(), reference);
+            assert_eq!(
+                a.transpose_matmul_exec(&b, &pooled(threads)).unwrap(),
+                reference
+            );
         }
         // Numerically the chunked grouping agrees with the plain product.
         let plain = a.transpose_matmul(&b).unwrap();
         assert!(reference.sub(&plain).unwrap().max_abs() < 1e-10);
-        assert_eq!(a.gram_with(3), a.transpose_matmul_with(&a, 1).unwrap());
+        assert_eq!(
+            a.gram_exec(&pooled(3)),
+            a.transpose_matmul_exec(&a, &Exec::sequential()).unwrap()
+        );
     }
 
     #[test]
     fn parallel_products_check_shapes() {
         let a = DenseMatrix::zeros(3, 4);
         let b = DenseMatrix::zeros(5, 2);
-        assert!(a.matmul_with(&b, 2).is_err());
-        assert!(a.transpose_matmul_with(&b, 2).is_err());
+        assert!(a.matmul_exec(&b, &pooled(2)).is_err());
+        assert!(a.transpose_matmul_exec(&b, &pooled(2)).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! top of the graph's CSR structure — `O(m·k)` per product and no `n × n`
 //! storage, the property that lets NRP scale to large graphs.
 //!
-//! All operators expose threaded products ([`LinearOperator::apply_with`] /
-//! [`LinearOperator::apply_transpose_with`]) with the workspace-wide
+//! All operators expose threaded products ([`LinearOperator::apply_exec`] /
+//! [`LinearOperator::apply_transpose_exec`]) with the workspace-wide
 //! determinism contract: **the result is bitwise identical for every thread
 //! budget**, because every output row is produced by exactly one worker with
 //! the same summation order (see [`crate::parallel`]).
@@ -41,36 +41,23 @@ pub trait LinearOperator {
     /// Computes `Aᵀ * x` for a dense `x` with `nrows()` rows.
     fn apply_transpose(&self, x: &DenseMatrix) -> Result<DenseMatrix>;
 
-    /// Computes `A * x` with up to `threads` worker threads.
+    /// Computes `A * x` under an [`parallel::Exec`] policy (sequential, or a
+    /// thread budget on a persistent [`crate::WorkerPool`]).
     ///
-    /// Implementations must be bitwise identical for every thread budget and
-    /// must agree with [`LinearOperator::apply`]; the default simply runs the
-    /// sequential product.
-    fn apply_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        let _ = threads;
-        self.apply(x)
-    }
-
-    /// Computes `Aᵀ * x` with up to `threads` worker threads (same contract
-    /// as [`LinearOperator::apply_with`]).
-    fn apply_transpose_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        let _ = threads;
-        self.apply_transpose(x)
-    }
-
-    /// Computes `A * x` under an [`parallel::Exec`] policy (thread budget
-    /// plus optional persistent [`crate::WorkerPool`]).  Same determinism
-    /// contract as [`LinearOperator::apply_with`]; the default falls back to
-    /// scoped threads via `apply_with`, and the operators in this crate
-    /// override it to hand the policy (pool included) to their kernels.
+    /// Implementations must be bitwise identical for every policy and must
+    /// agree with [`LinearOperator::apply`]; the default simply runs the
+    /// sequential product, and the operators in this crate override it to
+    /// hand the policy to their row-parallel kernels.
     fn apply_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
-        self.apply_with(x, exec.threads())
+        let _ = exec;
+        self.apply(x)
     }
 
     /// Computes `Aᵀ * x` under an [`parallel::Exec`] policy (same contract
     /// as [`LinearOperator::apply_exec`]).
     fn apply_transpose_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
-        self.apply_transpose_with(x, exec.threads())
+        let _ = exec;
+        self.apply_transpose(x)
     }
 }
 
@@ -128,19 +115,11 @@ impl LinearOperator for AdjacencyOperator<'_> {
     }
 
     fn apply(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.apply_with(x, 1)
+        self.apply_exec(x, &parallel::Exec::sequential())
     }
 
     fn apply_transpose(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.apply_transpose_with(x, 1)
-    }
-
-    fn apply_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.apply_exec(x, &parallel::Exec::scoped(threads))
-    }
-
-    fn apply_transpose_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.apply_transpose_exec(x, &parallel::Exec::scoped(threads))
+        self.apply_transpose_exec(x, &parallel::Exec::sequential())
     }
 
     fn apply_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
@@ -399,14 +378,6 @@ impl<'g> TransitionOperator<'g> {
             }
         }
     }
-
-    /// Computes `P * x` with up to `threads` worker threads over disjoint row
-    /// chunks.  Bitwise identical to [`LinearOperator::apply`]: every output
-    /// row is produced by exactly one thread with the same summation order,
-    /// so results do not depend on the thread budget.
-    pub fn apply_parallel(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.apply_with(x, threads)
-    }
 }
 
 impl LinearOperator for TransitionOperator<'_> {
@@ -419,19 +390,11 @@ impl LinearOperator for TransitionOperator<'_> {
     }
 
     fn apply(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.apply_with(x, 1)
+        self.apply_exec(x, &parallel::Exec::sequential())
     }
 
     fn apply_transpose(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        self.apply_transpose_with(x, 1)
-    }
-
-    fn apply_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.apply_exec(x, &parallel::Exec::scoped(threads))
-    }
-
-    fn apply_transpose_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.apply_transpose_exec(x, &parallel::Exec::scoped(threads))
+        self.apply_transpose_exec(x, &parallel::Exec::sequential())
     }
 
     fn apply_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
@@ -472,14 +435,10 @@ impl LinearOperator for DenseMatrix {
         self.transpose_matmul(x)
     }
 
-    fn apply_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.matmul_with(x, threads)
-    }
-
     fn apply_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
         self.matmul_exec(x, exec)
     }
-    // apply_transpose_with/_exec keep the sequential default: the
+    // apply_transpose_exec keeps the sequential default: the
     // accumulation over rows would need the chunked-reduce grouping, which
     // differs in the last ulp from `transpose_matmul`.  Dense operators only
     // appear in tests and tiny problems, so there is nothing to win.
@@ -502,14 +461,10 @@ impl LinearOperator for SparseMatrix {
         self.transpose_matmul_dense(x)
     }
 
-    fn apply_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.matmul_dense_with(x, threads)
-    }
-
     fn apply_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
         self.matmul_dense_exec(x, exec)
     }
-    // apply_transpose_with/_exec keep the sequential default; callers that
+    // apply_transpose_exec keeps the sequential default; callers that
     // need a threaded transpose product wrap the matrix in a
     // [`SparseTransposePair`] so both directions are row-parallel gathers.
 }
@@ -559,14 +514,6 @@ impl LinearOperator for SparseTransposePair {
         self.transpose.matmul_dense(x)
     }
 
-    fn apply_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.forward.matmul_dense_with(x, threads)
-    }
-
-    fn apply_transpose_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.transpose.matmul_dense_with(x, threads)
-    }
-
     fn apply_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
         self.forward.matmul_dense_exec(x, exec)
     }
@@ -584,7 +531,13 @@ pub fn to_dense<O: LinearOperator>(op: &O) -> Result<DenseMatrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{Exec, WorkerPool};
     use nrp_graph::{Graph, GraphKind};
+    use std::sync::Arc;
+
+    fn pooled(threads: usize) -> Exec {
+        Exec::pooled(Arc::new(WorkerPool::new(threads)), threads)
+    }
 
     fn toy() -> Graph {
         Graph::from_edges(
@@ -714,7 +667,7 @@ mod tests {
         let a = DenseMatrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64);
         let x = DenseMatrix::from_fn(4, 2, |i, j| (i + j) as f64);
         assert_eq!(a.apply(&x).unwrap(), a.matmul(&x).unwrap());
-        assert_eq!(a.apply_with(&x, 3).unwrap(), a.matmul(&x).unwrap());
+        assert_eq!(a.apply_exec(&x, &pooled(3)).unwrap(), a.matmul(&x).unwrap());
         let y = DenseMatrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
         assert_eq!(
             a.apply_transpose(&y).unwrap(),
@@ -755,11 +708,11 @@ mod tests {
         );
         for threads in [1usize, 2, 5] {
             assert_eq!(
-                pair.apply_with(&x, threads).unwrap(),
+                pair.apply_exec(&x, &pooled(threads)).unwrap(),
                 pair.apply(&x).unwrap()
             );
             assert_eq!(
-                pair.apply_transpose_with(&y, threads).unwrap(),
+                pair.apply_transpose_exec(&y, &pooled(threads)).unwrap(),
                 pair.apply_transpose(&y).unwrap()
             );
         }
@@ -787,13 +740,14 @@ mod tests {
                 let sequential = op.apply(&x).unwrap();
                 let sequential_t = op.apply_transpose(&x).unwrap();
                 for threads in [1usize, 2, 3, 8] {
+                    let exec = pooled(threads);
                     assert_eq!(
-                        op.apply_parallel(&x, threads).unwrap(),
+                        op.apply_exec(&x, &exec).unwrap(),
                         sequential,
                         "{policy:?}, threads = {threads}"
                     );
                     assert_eq!(
-                        op.apply_transpose_with(&x, threads).unwrap(),
+                        op.apply_transpose_exec(&x, &exec).unwrap(),
                         sequential_t,
                         "{policy:?}, threads = {threads}"
                     );

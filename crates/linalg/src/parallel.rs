@@ -21,22 +21,22 @@
 //! load balancing (important for skewed workloads such as per-source PPR
 //! pushes) without sacrificing rule 2/3.
 //!
-//! ## Execution policies: scoped threads vs. the persistent [`WorkerPool`]
+//! ## Execution policy: sequential or the persistent [`WorkerPool`]
 //!
 //! *Where* the workers come from is orthogonal to the contract above and is
-//! captured by [`Exec`]:
+//! captured by [`Exec`]: either [`Exec::sequential`] (the calling thread
+//! alone) or [`Exec::pooled`], which dispatches the fixed chunk grid to a
+//! long-lived [`WorkerPool`] so thread creation is paid **once per pool**,
+//! not once per kernel invocation.  `EmbedContext` in `nrp-core` owns such a
+//! pool and hands a pooled `Exec` to every stage.
 //!
-//! * [`Exec::scoped`] spawns fresh `std::thread::scope` workers per call —
-//!   zero setup, but an embedding that issues thousands of small kernel calls
-//!   (20 propagation hops × block-Krylov iterations × CGS2 passes) pays the
-//!   spawn/join cost every time.
-//! * [`Exec::pooled`] dispatches the same fixed chunk grid to a long-lived
-//!   [`WorkerPool`], so thread creation is paid **once per pool**, not once
-//!   per kernel invocation.  `EmbedContext` in `nrp-core` owns such a pool
-//!   and hands a pooled `Exec` to every stage.
-//!
+//! Each kernel has exactly one threaded entry point, `*_exec(.., &Exec)`;
+//! `Exec::sequential()` is its single-thread reference.  There is no
+//! per-call spawning policy: an embedding issues thousands of small kernel
+//! calls (propagation hops × block-Krylov iterations × CGS2 passes), and
+//! paying a spawn/join round trip on each of them is what the pool avoids.
 //! Because the chunk grid, the one-worker-per-chunk rule and the in-order
-//! merge are identical under both policies, **scoped and pooled execution
+//! merge do not depend on the policy, **pooled and sequential execution
 //! produce bitwise identical results** — the pool only moves the wall clock.
 
 // The pool hands lifetime-erased job pointers to long-lived workers and the
@@ -59,8 +59,8 @@ use nrp_obs::{clock, Counter, Gauge, Histogram, MetricsHandle};
 /// a few thousand rows across a typical core count.
 pub const ROW_CHUNK: usize = 128;
 
-/// Chunk size used by the deterministic reductions (`transpose_matmul_with`,
-/// `gram_with`).  Must stay fixed across calls: it defines the grouping of
+/// Chunk size used by the deterministic reductions (`transpose_matmul_exec`,
+/// `gram_exec`).  Must stay fixed across calls: it defines the grouping of
 /// the floating-point partial sums.
 pub const REDUCE_CHUNK: usize = 4096;
 
@@ -159,9 +159,9 @@ struct PoolShared {
 /// A persistent pool of worker threads executing deterministic chunk grids.
 ///
 /// The pool exists purely to amortize thread creation: a job is the same
-/// `(chunk grid, closure)` pair the scoped path runs, fed through the same
-/// atomic-counter protocol, so results are bitwise identical to scoped (and
-/// sequential) execution.  Create one pool per long-running computation (an
+/// `(chunk grid, closure)` pair sequential execution runs in order, handed
+/// out through an atomic chunk counter, so results are bitwise identical to
+/// sequential execution.  Create one pool per long-running computation (an
 /// embedding, a sweep) and reuse it for every kernel call.
 ///
 /// A pool created with [`WorkerPool::new`]`(capacity)` spawns `capacity - 1`
@@ -447,16 +447,15 @@ fn worker_loop(shared: &PoolShared) {
 // Exec
 // ---------------------------------------------------------------------------
 
-/// An execution policy: a thread budget plus (optionally) a persistent
-/// [`WorkerPool`] to spend it on.
+/// An execution policy: either the calling thread alone, or a thread budget
+/// spent on a persistent [`WorkerPool`].
 ///
 /// `Exec` is cheap to clone (the pool is behind an `Arc`) and is what the
 /// `*_exec` kernels take.  The policy never affects results — only where the
 /// worker threads come from:
 ///
-/// * [`Exec::sequential`] — everything on the calling thread.
-/// * [`Exec::scoped`] — fresh scoped threads per kernel call (the historical
-///   behaviour of the `*_with(threads)` entry points).
+/// * [`Exec::sequential`] — everything on the calling thread; the reference
+///   every threaded run is bitwise identical to.
 /// * [`Exec::pooled`] — dispatch to a long-lived pool, paying thread-spawn
 ///   cost once per pool instead of once per call.
 #[derive(Clone, Debug, Default)]
@@ -470,14 +469,6 @@ impl Exec {
     pub fn sequential() -> Self {
         Self {
             threads: 1,
-            pool: None,
-        }
-    }
-
-    /// Spawns fresh scoped workers per kernel call, up to `threads` of them.
-    pub fn scoped(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
             pool: None,
         }
     }
@@ -496,12 +487,6 @@ impl Exec {
         self.threads.max(1)
     }
 
-    /// Returns the policy with a different thread budget, keeping the pool.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// The attached pool, if any.
     pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.as_ref()
@@ -517,42 +502,11 @@ impl Exec {
     /// chunks completed.
     fn run_chunks(&self, num_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
         let workers = effective_threads(self.threads(), num_chunks);
-        if workers <= 1 || num_chunks <= 1 {
-            for c in 0..num_chunks {
-                f(c);
-            }
-            return;
-        }
         match &self.pool {
-            Some(pool) => pool.run(workers - 1, num_chunks, f),
-            None => scoped_run(workers, num_chunks, f),
+            Some(pool) if workers > 1 => pool.run(workers - 1, num_chunks, f),
+            _ => (0..num_chunks).for_each(f),
         }
     }
-}
-
-/// The scoped-thread execution path: `workers - 1` spawned threads plus the
-/// caller, all pulling chunk indices from one atomic counter.
-fn scoped_run(workers: usize, num_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-    let next = AtomicUsize::new(0);
-    let next_ref = &next;
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(move || loop {
-                let c = next_ref.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
-                }
-                f(c);
-            });
-        }
-        loop {
-            let c = next_ref.fetch_add(1, Ordering::Relaxed);
-            if c >= num_chunks {
-                break;
-            }
-            f(c);
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -591,17 +545,6 @@ where
         .collect()
 }
 
-/// Maps `f` over fixed chunks of `0..n` with up to `threads` scoped workers
-/// and returns the per-chunk results **in ascending chunk order** (see
-/// [`par_chunk_map_exec`] for the pooled variant).
-pub fn par_chunk_map<T, F>(n: usize, chunk_size: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    par_chunk_map_exec(n, chunk_size, &Exec::scoped(threads), f)
-}
-
 /// Fallible variant of [`par_chunk_map_exec`]: the first error **in chunk
 /// order** is returned (workers still run every chunk, so side effects must
 /// be idempotent; all callers here are pure).
@@ -619,21 +562,6 @@ where
     par_chunk_map_exec(n, chunk_size, exec, f)
         .into_iter()
         .collect()
-}
-
-/// Fallible variant of [`par_chunk_map`] (scoped workers).
-pub fn try_par_chunk_map<T, E, F>(
-    n: usize,
-    chunk_size: usize,
-    threads: usize,
-    f: F,
-) -> std::result::Result<Vec<T>, E>
-where
-    T: Send + Sync,
-    E: Send + Sync,
-    F: Fn(Range<usize>) -> std::result::Result<T, E> + Sync,
-{
-    try_par_chunk_map_exec(n, chunk_size, &Exec::scoped(threads), f)
 }
 
 /// Deterministic chunked map-reduce under `exec`: maps fixed chunks of
@@ -656,23 +584,6 @@ where
         .reduce(fold)
 }
 
-/// Deterministic chunked map-reduce with up to `threads` scoped workers (see
-/// [`par_reduce_exec`] for the pooled variant).
-pub fn par_reduce<T, F, G>(
-    n: usize,
-    chunk_size: usize,
-    threads: usize,
-    map: F,
-    fold: G,
-) -> Option<T>
-where
-    T: Send + Sync,
-    F: Fn(Range<usize>) -> T + Sync,
-    G: FnMut(T, T) -> T,
-{
-    par_reduce_exec(n, chunk_size, &Exec::scoped(threads), map, fold)
-}
-
 /// A raw base pointer that may cross thread boundaries.  Only used to carve
 /// **disjoint** row blocks out of one output buffer; see the safety argument
 /// in [`par_fill_rows_exec`].
@@ -680,7 +591,7 @@ where
 struct SendPtr(*mut f64);
 // SAFETY: the pointer is only dereferenced through disjoint, uniquely-owned
 // sub-slices (one per chunk index), and the dispatching call blocks until all
-// workers finished — standard scoped-write discipline.
+// workers finished.
 unsafe impl Send for SendPtr {}
 // SAFETY: shared access is only ever the `Copy` of the base address itself;
 // every dereference goes through the per-chunk disjoint sub-slices described
@@ -735,27 +646,12 @@ where
     data
 }
 
-/// Fills a `rows x cols` row-major buffer with up to `threads` scoped
-/// workers (see [`par_fill_rows_exec`] for the pooled variant).
-pub fn par_fill_rows<F>(rows: usize, cols: usize, threads: usize, fill: F) -> Vec<f64>
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    par_fill_rows_exec(rows, cols, &Exec::scoped(threads), fill)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn execs(threads: usize) -> Vec<(&'static str, Exec)> {
-        vec![
-            ("scoped", Exec::scoped(threads)),
-            (
-                "pooled",
-                Exec::pooled(Arc::new(WorkerPool::new(threads)), threads),
-            ),
-        ]
+    fn pooled(threads: usize) -> Exec {
+        Exec::pooled(Arc::new(WorkerPool::new(threads)), threads)
     }
 
     #[test]
@@ -765,10 +661,8 @@ mod tests {
             .map(|r| r.collect())
             .collect();
         for threads in [1usize, 2, 3, 8] {
-            for (label, exec) in execs(threads) {
-                let got = par_chunk_map_exec(37, 5, &exec, |r| r.collect::<Vec<usize>>());
-                assert_eq!(got, expected, "{label}, threads = {threads}");
-            }
+            let got = par_chunk_map_exec(37, 5, &pooled(threads), |r| r.collect::<Vec<usize>>());
+            assert_eq!(got, expected, "threads = {threads}");
         }
     }
 
@@ -791,13 +685,11 @@ mod tests {
         };
         let reference = sum(&Exec::sequential());
         for threads in [2usize, 3, 7] {
-            for (label, exec) in execs(threads) {
-                assert_eq!(
-                    sum(&exec).to_bits(),
-                    reference.to_bits(),
-                    "{label}, threads = {threads}"
-                );
-            }
+            assert_eq!(
+                sum(&pooled(threads)).to_bits(),
+                reference.to_bits(),
+                "threads = {threads}"
+            );
         }
     }
 
@@ -810,38 +702,44 @@ mod tests {
                 *v = (i * cols + j) as f64 * 0.5 - 3.0;
             }
         };
-        let sequential = par_fill_rows(rows, cols, 1, fill);
-        for threads in [2usize, 4, 16] {
-            for (label, exec) in execs(threads) {
-                assert_eq!(
-                    par_fill_rows_exec(rows, cols, &exec, fill),
-                    sequential,
-                    "{label}, threads = {threads}"
-                );
-            }
+        let mut sequential = vec![0.0; rows * cols];
+        for (i, row) in sequential.chunks_mut(cols).enumerate() {
+            fill(i, row);
+        }
+        for exec in [Exec::sequential(), pooled(2), pooled(4), pooled(16)] {
+            assert_eq!(
+                par_fill_rows_exec(rows, cols, &exec, fill),
+                sequential,
+                "threads = {}",
+                exec.threads()
+            );
         }
     }
 
     #[test]
     fn try_chunk_map_returns_first_error_in_chunk_order() {
-        let result: std::result::Result<Vec<usize>, usize> = try_par_chunk_map(100, 10, 4, |r| {
-            if r.start >= 30 {
-                Err(r.start)
-            } else {
-                Ok(r.start)
-            }
-        });
+        let result: std::result::Result<Vec<usize>, usize> =
+            try_par_chunk_map_exec(100, 10, &pooled(4), |r| {
+                if r.start >= 30 {
+                    Err(r.start)
+                } else {
+                    Ok(r.start)
+                }
+            });
         assert_eq!(result, Err(30));
         let ok: std::result::Result<Vec<usize>, usize> =
-            try_par_chunk_map(40, 10, 2, |r| Ok::<usize, usize>(r.start));
+            try_par_chunk_map_exec(40, 10, &pooled(2), |r| Ok::<usize, usize>(r.start));
         assert_eq!(ok.unwrap(), vec![0, 10, 20, 30]);
     }
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        assert!(par_chunk_map(0, 4, 3, |r| r.len()).is_empty());
-        assert_eq!(par_reduce(0, 4, 2, |_| 1usize, |a, b| a + b), None);
-        assert!(par_fill_rows(0, 5, 4, |_, _| {}).is_empty());
+        assert!(par_chunk_map_exec(0, 4, &pooled(3), |r| r.len()).is_empty());
+        assert_eq!(
+            par_reduce_exec(0, 4, &pooled(2), |_| 1usize, |a, b| a + b),
+            None
+        );
+        assert!(par_fill_rows_exec(0, 5, &pooled(4), |_, _| {}).is_empty());
         assert_eq!(effective_threads(0, 10), 1);
         assert_eq!(effective_threads(16, 3), 3);
     }
@@ -978,12 +876,15 @@ mod tests {
     fn exec_accessors() {
         assert_eq!(Exec::sequential().threads(), 1);
         assert!(!Exec::sequential().is_parallel());
-        assert_eq!(Exec::scoped(0).threads(), 1);
-        let exec = Exec::scoped(2).with_threads(5);
-        assert_eq!(exec.threads(), 5);
-        assert!(exec.pool().is_none());
-        let pooled = Exec::pooled(Arc::new(WorkerPool::new(2)), 2);
-        assert!(pooled.pool().is_some());
-        assert!(pooled.is_parallel());
+        assert!(Exec::sequential().pool().is_none());
+        assert_eq!(Exec::default().threads(), 1);
+        assert!(!Exec::default().is_parallel());
+        let exec = Exec::pooled(Arc::new(WorkerPool::new(2)), 0);
+        assert_eq!(exec.threads(), 1);
+        assert!(exec.pool().is_some());
+        let exec = pooled(2);
+        assert_eq!(exec.threads(), 2);
+        assert!(exec.pool().is_some());
+        assert!(exec.is_parallel());
     }
 }

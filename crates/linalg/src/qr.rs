@@ -279,8 +279,13 @@ pub fn orthogonality_defect(q: &DenseMatrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Exec;
+    use crate::parallel::{Exec, WorkerPool};
     use crate::random::gaussian_matrix;
+    use std::sync::Arc;
+
+    fn pooled(threads: usize) -> Exec {
+        Exec::pooled(Arc::new(WorkerPool::new(threads)), threads)
+    }
 
     #[test]
     fn qr_reconstructs_input() {
@@ -340,13 +345,13 @@ mod tests {
     fn empty_matrix_rejected() {
         let a = DenseMatrix::zeros(0, 0);
         assert!(thin_qr(&a).is_err());
-        assert!(orthonormalize_exec(&a, &Exec::scoped(4)).is_err());
+        assert!(orthonormalize_exec(&a, &pooled(4)).is_err());
     }
 
     #[test]
     fn cgs2_basis_is_orthonormal_and_spans_the_input() {
         let a = gaussian_matrix(60, 9, 17);
-        let q = orthonormalize_exec(&a, &Exec::scoped(3)).unwrap();
+        let q = orthonormalize_exec(&a, &pooled(3)).unwrap();
         assert_eq!(q.shape(), (60, 9));
         assert!(orthogonality_defect(&q) < 1e-12);
         // Same column space as the MGS basis: projectors agree.
@@ -371,15 +376,9 @@ mod tests {
 
     #[test]
     fn cgs2_is_bitwise_invariant_across_thread_counts() {
-        let pool = std::sync::Arc::new(parallel::WorkerPool::new(2));
         for a in [gaussian_matrix(123, 11, 23), multi_panel_input()] {
-            let reference = orthonormalize_exec(&a, &Exec::scoped(1)).unwrap();
-            for exec in [
-                Exec::scoped(2),
-                Exec::scoped(4),
-                Exec::scoped(8),
-                Exec::pooled(pool.clone(), 2),
-            ] {
+            let reference = orthonormalize_exec(&a, &Exec::sequential()).unwrap();
+            for exec in [pooled(2), pooled(4), pooled(8)] {
                 let q = orthonormalize_exec(&a, &exec).unwrap();
                 assert_eq!(q, reference, "{:?} under {exec:?}", a.shape());
             }
@@ -395,13 +394,13 @@ mod tests {
             &[2.0, 0.0, 2.0],
         ])
         .unwrap();
-        let q = orthonormalize_exec(&a, &Exec::scoped(2)).unwrap();
+        let q = orthonormalize_exec(&a, &pooled(2)).unwrap();
         assert_eq!(q.cols(), 2);
         assert!(orthogonality_defect(&q) < 1e-12);
         // A column dependent on an earlier panel is removed by the block
         // projections, and the basis still spans the input.
         let a = multi_panel_input();
-        let q = orthonormalize_exec(&a, &Exec::scoped(2)).unwrap();
+        let q = orthonormalize_exec(&a, &pooled(2)).unwrap();
         assert_eq!(q.shape(), (a.rows(), a.cols() - 1));
         assert!(orthogonality_defect(&q) < 1e-13);
         let projected = q.matmul(&q.transpose_matmul(&a).unwrap()).unwrap();

@@ -145,20 +145,11 @@ impl RandomizedSvd {
         self
     }
 
-    /// Grants a thread budget (clamped to at least 1) for the block matmuls,
-    /// the Krylov basis construction and the final projection, using fresh
-    /// scoped workers per kernel call.  The result is bitwise identical for
-    /// every budget: all threaded kernels follow the determinism contract of
-    /// [`crate::parallel`].  See [`RandomizedSvd::exec`] to reuse a
-    /// persistent [`crate::WorkerPool`] instead.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.exec = Exec::scoped(threads);
-        self
-    }
-
-    /// Sets the full execution policy (thread budget plus optional persistent
-    /// [`crate::WorkerPool`]).  The policy never affects results — see the
-    /// contract on [`RandomizedSvd::threads`].
+    /// Sets the execution policy for the block matmuls, the Krylov basis
+    /// construction and the final projection (sequential by default, or a
+    /// thread budget on a persistent [`crate::WorkerPool`]).  The result is
+    /// bitwise identical for every policy: all threaded kernels follow the
+    /// determinism contract of [`crate::parallel`].
     pub fn exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
         self
@@ -382,18 +373,19 @@ mod tests {
             RandomizedSvdMethod::BlockKrylov,
             RandomizedSvdMethod::SubspaceIteration,
         ] {
-            let run = |threads: usize| {
+            let run = |exec: Exec| {
                 RandomizedSvd::new(6)
                     .method(method)
                     .iterations(4)
                     .seed(21)
-                    .threads(threads)
+                    .exec(exec)
                     .compute(&op)
                     .unwrap()
             };
-            let reference = run(1);
+            let reference = run(Exec::sequential());
             for threads in [2usize, 4, 8] {
-                let result = run(threads);
+                let pool = std::sync::Arc::new(crate::WorkerPool::new(threads));
+                let result = run(Exec::pooled(pool, threads));
                 assert_eq!(result.u, reference.u, "{method:?} threads = {threads}");
                 assert_eq!(result.v, reference.v, "{method:?} threads = {threads}");
                 assert_eq!(

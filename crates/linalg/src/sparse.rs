@@ -237,42 +237,16 @@ impl SparseMatrix {
         })
     }
 
-    /// Sparse × dense product `self * x`.
+    /// Sparse × dense product `self * x` on the calling thread.
     pub fn matmul_dense(&self, x: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != x.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                operation: "sparse * dense".into(),
-                left: (self.rows, self.cols),
-                right: x.shape(),
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.rows, x.cols());
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            let out_row = out.row_mut(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let x_row = x.row(c);
-                for (o, &xv) in out_row.iter_mut().zip(x_row) {
-                    *o += v * xv;
-                }
-            }
-        }
-        Ok(out)
+        self.matmul_dense_exec(x, &parallel::Exec::sequential())
     }
 
-    /// [`SparseMatrix::matmul_dense`] over up to `threads` scoped worker
-    /// threads (see [`SparseMatrix::matmul_dense_exec`] for pooled
-    /// execution).
-    pub fn matmul_dense_with(&self, x: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-        self.matmul_dense_exec(x, &parallel::Exec::scoped(threads))
-    }
-
-    /// [`SparseMatrix::matmul_dense`] under an [`parallel::Exec`] policy.
+    /// Sparse × dense product `self * x` under an [`parallel::Exec`] policy.
     ///
-    /// Each output row is one CSR-row gather produced by a single worker with
-    /// the sequential summation order, so the result is bitwise identical to
-    /// [`SparseMatrix::matmul_dense`] for every thread budget and execution
-    /// policy.
+    /// Each output row is one CSR-row gather produced by a single worker in
+    /// ascending column order, so the result is bitwise identical for every
+    /// thread budget and execution policy.
     pub fn matmul_dense_exec(&self, x: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
         if self.cols != x.rows() {
             return Err(LinalgError::ShapeMismatch {
@@ -280,9 +254,6 @@ impl SparseMatrix {
                 left: (self.rows, self.cols),
                 right: x.shape(),
             });
-        }
-        if !exec.is_parallel() {
-            return self.matmul_dense(x);
         }
         let data = parallel::par_fill_rows_exec(self.rows, x.cols(), exec, |r, out_row| {
             let (cols, vals) = self.row(r);

@@ -19,7 +19,7 @@
 //! | P002 | no `panic!`/`todo!`/`unimplemented!` in request-path modules |
 //! | P003 | no slice-index-by-literal in request-path modules |
 //! | R001 | every `push`/`push_back` in request-path modules targets a visibly bounded collection (`with_capacity` init or `len()` comparison) |
-//! | A001 | every `pub fn *_exec` kernel has a sequential twin (`base` or `base_with`) |
+//! | A001 | no `pub fn base_with` thread-count wrapper beside a `pub fn base_exec` kernel |
 //! | A002 | every `*_exec` kernel appears in the `tests/thread_invariance.rs` roster |
 //! | L001 | `// nrp-lint: allow(rule)` directives must carry a reason |
 //!

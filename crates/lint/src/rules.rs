@@ -2,9 +2,8 @@
 //! U (unsafe hygiene), P (panic freedom), R (resource bounds) and
 //! L (lint discipline) rules.
 //!
-//! Rule A (API discipline) needs cross-file information and lives in
-//! [`crate::lint_workspace`]; this module exposes the per-file pieces it
-//! builds on ([`FileReport::exec_fns`], [`FileReport::pub_fn_names`]).
+//! Rule A (API discipline) needs cross-file information and runs on the
+//! workspace call graph in [`crate::semantic`].
 //!
 //! Every rule here is scoped by *where* code lives:
 //!
@@ -15,7 +14,7 @@
 //!   a counting allocator is fine *where it is*), but **not** from U001:
 //!   every `unsafe` in the tree needs its `// SAFETY:` argument.
 //! * **request-path modules** (rule P) and **kernel crates** (rule D002)
-//!   are named in [`Config`](crate::Config).
+//!   are named in [`Config`].
 
 use crate::lexer::{lex, TokKind, Token};
 use crate::{Config, Finding, UnsafeSite};
@@ -42,19 +41,6 @@ pub struct FileReport {
     pub findings: Vec<Finding>,
     /// Every `unsafe` occurrence, for the machine-readable inventory.
     pub unsafe_sites: Vec<UnsafeSite>,
-    /// `pub fn *_exec` kernels declared in this file (rule A input).
-    pub exec_fns: Vec<ExecFn>,
-    /// All `pub fn` names in this file (rule A twin lookup).
-    pub pub_fn_names: Vec<String>,
-}
-
-/// One `pub fn *_exec` declaration.
-#[derive(Debug, Clone)]
-pub struct ExecFn {
-    /// The function name (ends with `_exec`).
-    pub name: String,
-    /// 1-based declaration line.
-    pub line: u32,
 }
 
 /// True for paths whose entire contents are test/bench/example code.
@@ -96,7 +82,6 @@ pub fn analyze(relpath: &str, source: &str, cfg: &Config) -> FileReport {
     );
     rule_p(relpath, &toks, &in_test, cfg, &mut findings);
     rule_r001(relpath, &toks, &in_test, cfg, &mut findings);
-    collect_fns(&toks, &test_mask, file_is_test, &mut report);
 
     // Apply `// nrp-lint: allow(rule) — reason` suppressions last, so a
     // directive covers whichever rule fired on its target line.
@@ -835,70 +820,5 @@ fn rule_r001(
                 tok.text
             ),
         ));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule A inputs — pub fn collection
-// ---------------------------------------------------------------------------
-
-/// Collects `pub fn` names and the `*_exec` subset (rule A runs the
-/// cross-file checks in `lint_workspace`).  Test regions are skipped.
-fn collect_fns(toks: &[Token], test_mask: &[bool], file_is_test: bool, report: &mut FileReport) {
-    if file_is_test {
-        return;
-    }
-    for (i, tok) in toks.iter().enumerate() {
-        if test_mask[i] || !tok.is_ident("pub") {
-            continue;
-        }
-        // `pub` / `pub(crate)` / `pub(in …)` then optional qualifiers.
-        let mut j = match next_sig(toks, i + 1) {
-            Some(j) => j,
-            None => continue,
-        };
-        if toks[j].is_punct('(') {
-            let mut depth = 0i64;
-            while j < toks.len() {
-                if toks[j].is_punct('(') {
-                    depth += 1;
-                } else if toks[j].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            j = match next_sig(toks, j + 1) {
-                Some(j) => j,
-                None => continue,
-            };
-        }
-        while toks[j].is_ident("const") || toks[j].is_ident("unsafe") || toks[j].is_ident("async") {
-            j = match next_sig(toks, j + 1) {
-                Some(j) => j,
-                None => break,
-            };
-        }
-        if !toks[j].is_ident("fn") {
-            continue;
-        }
-        let Some(name_idx) = next_sig(toks, j + 1) else {
-            continue;
-        };
-        let name = &toks[name_idx];
-        if name.kind != TokKind::Ident {
-            continue;
-        }
-        report.pub_fn_names.push(name.text.clone());
-        if let Some(base) = name.text.strip_suffix("_exec") {
-            if !base.is_empty() {
-                report.exec_fns.push(ExecFn {
-                    name: name.text.clone(),
-                    line: name.line,
-                });
-            }
-        }
     }
 }

@@ -279,9 +279,10 @@ fn rule_p004(files: &[FileIndex], graph: &CallGraph, cfg: &Config, findings: &mu
     }
 }
 
-/// A001/A002 on call-graph facts: every public `*_exec` kernel needs a
-/// same-file sequential twin that really exists as an item, and a call edge
-/// from the thread-invariance roster.
+/// A001/A002 on call-graph facts: `*_exec` is a kernel's only threaded entry
+/// point, so a public `*_with` thread-count wrapper beside it is a finding,
+/// and every public `*_exec` kernel needs a call edge from the
+/// thread-invariance roster.
 fn rule_a(files: &[FileIndex], graph: &CallGraph, findings: &mut Vec<Finding>) {
     const ROSTER: &str = "tests/thread_invariance.rs";
     // Every node the roster file's tests call, plus names as written —
@@ -306,19 +307,18 @@ fn rule_a(files: &[FileIndex], graph: &CallGraph, findings: &mut Vec<Finding>) {
             continue;
         }
         let with = format!("{base}_with");
-        let fi = &files[node.file_idx];
-        let has_twin = fi
+        for wrapper in files[node.file_idx]
             .fns
             .iter()
-            .any(|d| d.is_pub && (d.name == base || d.name == with));
-        if !has_twin {
+            .filter(|d| d.is_pub && !d.is_test && d.name == with)
+        {
             findings.push(Finding::new(
                 &node.file,
-                node.line,
+                wrapper.line,
                 "A001",
                 format!(
-                    "`{}` has no sequential twin — export `pub fn {base}` or \
-                     `pub fn {with}` so callers can bypass the Exec policy",
+                    "`{with}` duplicates `{}` — `*_exec` is the only threaded entry \
+                     point; callers pass `Exec::sequential()` or a pooled `Exec`",
                     node.name
                 ),
             ));

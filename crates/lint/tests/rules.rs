@@ -271,6 +271,7 @@ fn rule_a_flags_missing_twin_and_missing_roster_entry() {
 pub fn rowsum_exec(n: usize, exec: &Exec) -> f64 { 0.0 }
 pub fn rowsum(n: usize) -> f64 { 0.0 }
 pub fn colsum_exec(n: usize, exec: &Exec) -> f64 { 0.0 }
+pub fn rowsum_with(n: usize, threads: usize) -> f64 { 0.0 }
 "#,
     )
     .expect("write kernels");
@@ -293,8 +294,8 @@ pub fn colsum_exec(n: usize, exec: &Exec) -> f64 { 0.0 }
     assert_eq!(
         rules,
         vec![
-            ("A001", "crates/linalg/src/kernels.rs"), // colsum has no twin
             ("A002", "crates/linalg/src/kernels.rs"), // colsum not in roster
+            ("A001", "crates/linalg/src/kernels.rs"), // rowsum_with beside rowsum_exec
         ],
         "{:#?}",
         report.findings

@@ -1098,7 +1098,7 @@ fn unlabeled(name: &str, help: &str, kind: MetricKind, value: u64) -> FamilySnap
 ///
 /// [`Server::shutdown`] is graceful: the listener stops accepting, every
 /// connection finishes the request it is currently serving (idle keep-alive
-/// peers are closed at the next [`IDLE_POLL`] tick), the batcher drains its
+/// peers are closed at the next `IDLE_POLL` tick), the batcher drains its
 /// queue, and only then does the call return.
 pub struct Server {
     state: Arc<ServeState>,

@@ -72,17 +72,13 @@
 //!   first parallel stage and reused by *every* kernel call of every run
 //!   under that context — an embedding issues thousands of small stages
 //!   (ℓ1 = 20 propagation hops × block-Krylov iterations × CGS2 passes), and
-//!   the pool pays thread spawn once instead of per call (~10× lower
-//!   dispatch overhead than scoped spawning in this container's baseline).
-//!   Pooled and scoped execution are bitwise identical; opt into per-call
-//!   scoped threads with
-//!   [`EmbedContext::with_scoped_threads`](nrp_core::context::EmbedContext::with_scoped_threads),
-//!   or share one pool across contexts with
+//!   the pool pays thread spawn once instead of per call.  Pooled and
+//!   single-thread runs are bitwise identical; share one pool across
+//!   contexts with
 //!   [`EmbedContext::with_worker_pool`](nrp_core::context::EmbedContext::with_worker_pool)
-//!   (e.g. for a whole benchmark sweep).  Kernels take an
-//!   [`Exec`](nrp_core::parallel::Exec) policy — budget plus optional pool —
-//!   via the `*_exec` entry points; the `*_with(threads)` entry points keep
-//!   their scoped behaviour.
+//!   (e.g. for a whole benchmark sweep).  Every kernel has one threaded
+//!   entry point, `*_exec`, taking an [`Exec`](nrp_core::parallel::Exec)
+//!   policy: sequential, or a thread budget on a pool.
 //!
 //! * **Allocation-free forward push.**  STRAP's per-source pushes run
 //!   through a [`PushWorkspace`](nrp_core::push::PushWorkspace) (one per

@@ -55,9 +55,12 @@ fn embeddings_are_bitwise_identical_across_thread_budgets() {
             let single = embedder
                 .embed(&graph, &EmbedContext::new().with_threads(1))
                 .expect(json);
-            let multi = embedder
-                .embed(&graph, &EmbedContext::new().with_threads(threads))
-                .expect(json);
+            let pooled_ctx = EmbedContext::new().with_threads(threads);
+            let multi = embedder.embed(&graph, &pooled_ctx).expect(json);
+            assert!(
+                pooled_ctx.worker_pool().is_some(),
+                "{json}: a multi-thread run must create the context's pool"
+            );
             assert_eq!(
                 single.embedding(),
                 multi.embedding(),
@@ -65,45 +68,6 @@ fn embeddings_are_bitwise_identical_across_thread_budgets() {
             );
             assert_eq!(multi.metadata().threads, threads, "{json}");
         }
-    }
-}
-
-#[test]
-fn pooled_and_scoped_execution_are_bitwise_identical() {
-    // The persistent worker pool only moves the wall clock: for every
-    // method, embedding under the context's pool (the `with_threads`
-    // default), under per-call scoped threads, and under a single thread
-    // must all be bitwise identical.
-    nrp::init();
-    let threads = test_threads();
-    let graph = test_graph(GraphKind::Directed, 31);
-    for json in parallel_method_configs() {
-        let embedder = MethodConfig::from_json(json)
-            .expect(json)
-            .build()
-            .expect(json);
-        let single = embedder
-            .embed(&graph, &EmbedContext::new().with_threads(1))
-            .expect(json);
-        let pooled_ctx = EmbedContext::new().with_threads(threads);
-        let pooled = embedder.embed(&graph, &pooled_ctx).expect(json);
-        assert!(
-            pooled_ctx.worker_pool().is_some(),
-            "{json}: a multi-thread run must create the context's pool"
-        );
-        let scoped = embedder
-            .embed(&graph, &EmbedContext::new().with_scoped_threads(threads))
-            .expect(json);
-        assert_eq!(
-            pooled.embedding(),
-            scoped.embedding(),
-            "{json}: pool vs scoped at {threads} threads"
-        );
-        assert_eq!(
-            pooled.embedding(),
-            single.embedding(),
-            "{json}: pool vs 1 thread"
-        );
     }
 }
 
@@ -189,11 +153,11 @@ fn every_exec_kernel_is_bitwise_thread_invariant() {
         par_chunk_map_exec, par_fill_rows_exec, par_reduce_exec, try_par_chunk_map_exec, Exec,
     };
     use nrp::linalg::qr::orthonormalize_exec;
-    use nrp::linalg::SparseMatrix;
+    use nrp::linalg::{SparseMatrix, WorkerPool};
 
     let threads = test_threads();
     let sequential = Exec::sequential();
-    let parallel = Exec::scoped(threads);
+    let parallel = Exec::pooled(std::sync::Arc::new(WorkerPool::new(threads)), threads);
 
     // par_chunk_map_exec: chunk results concatenate in ascending order.
     let seq = par_chunk_map_exec(97, 8, &sequential, |r| r.sum::<usize>());
