@@ -1,25 +1,28 @@
-//! Request batching: concurrent PPR queries coalesce into one multi-source
-//! dispatch on the shared worker pool.
+//! Request batching: concurrent PPR cache misses coalesce into one
+//! multi-source dispatch on the shared worker pool.
 //!
-//! Connection threads never compute PPR themselves — they submit a
-//! [`CacheKey`] to the batcher and block on a private reply channel.  A
-//! single dispatcher thread drains everything queued at that moment into
-//! one batch, deduplicates identical keys (two clients asking for the same
-//! hot source share one computation), answers what it can from the cache,
-//! and computes the remaining *unique* sources with a single
-//! `par_chunk_map_exec` dispatch over the context's persistent
+//! Connection threads answer cache hits themselves and never compute PPR:
+//! on a miss they submit the [`CacheKey`] to the batcher and block on a
+//! private reply channel.  A single dispatcher thread drains everything
+//! queued at that moment into one batch, deduplicates identical keys (two
+//! clients missing on the same source share one computation), computes the
+//! *unique* sources with a single `par_chunk_map_exec` dispatch over the
+//! context's persistent
 //! [`WorkerPool`](nrp_core::parallel::WorkerPool).  Each source's push runs
 //! sequentially inside one worker (reusing that worker's thread-local
 //! [`PushWorkspace`]), so every per-source result is bitwise identical to a
-//! standalone computation — batching moves wall-clock, never values.
+//! standalone computation — batching moves wall-clock, never values.  The
+//! dispatcher inserts each answer into the cache before replying; a key
+//! that was inserted between a waiter's probe and the drain is simply
+//! computed again, to the same bits.
 //!
 //! # Overload behaviour
 //!
 //! The submission queue is **bounded** ([`Batcher::new`] takes its
-//! capacity): when the dispatcher falls behind, [`Batcher::submit`] fails
-//! fast with [`SubmitError::QueueFull`] instead of queueing unboundedly —
-//! the server turns that into `503` + `Retry-After`.  A request may also
-//! carry a deadline ([`Batcher::submit_with_deadline`]): the waiter gives
+//! capacity): when the dispatcher falls behind,
+//! [`Batcher::submit_traced`] fails fast with [`SubmitError::QueueFull`]
+//! instead of queueing unboundedly — the server turns that into `503` +
+//! `Retry-After`.  A request may also carry a deadline: the waiter gives
 //! up with [`SubmitError::DeadlineExceeded`] when it expires (`504`), the
 //! dispatcher sheds queued jobs whose deadline already passed without
 //! computing them, and exact-mode batches propagate the waiters' deadline
@@ -36,9 +39,9 @@
 //!
 //! The dispatcher attributes every answered job's latency to three stages
 //! ([`JobTiming`]): time queued behind other work, time spent assembling
-//! the batch (dedup + cache probe), and time inside the PPR kernel.
-//! [`Batcher::submit_traced`] returns that breakdown alongside the answer;
-//! the plain submit paths discard it.  When the [`EmbedContext`] carries a
+//! the batch (deadline shedding + dedup), and time inside the PPR kernel.
+//! [`Batcher::submit_traced`] returns that breakdown alongside the answer.
+//! When the [`EmbedContext`] carries a
 //! live [`MetricsHandle`](nrp_obs::MetricsHandle), the same numbers feed
 //! the `nrp_batch_*` instrument families (queue depth, batch size,
 //! queue-wait and compute histograms).  Timing is observability only: it
@@ -85,7 +88,7 @@ pub struct PprAnswer {
     pub num_pushes: usize,
 }
 
-/// Why a [`Batcher::submit`] returned no answer.
+/// Why a [`Batcher::submit_traced`] returned no answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded submission queue was full — shed this request
@@ -125,12 +128,11 @@ impl std::error::Error for SubmitError {}
 pub struct JobTiming {
     /// From submission until the dispatcher drained this job into a batch.
     pub queue_wait_us: u64,
-    /// Batch assembly: deadline shedding, dedup, and the cache probe for
-    /// the batch this job rode in (shared by every job of the batch).
+    /// Batch assembly: deadline shedding and dedup for the batch this job
+    /// rode in (shared by every job of the batch).
     pub assembly_us: u64,
-    /// Inside the PPR kernel for this job's key (0 for a cache hit).
-    /// Coalesced waiters report the shared computation's time: each of them
-    /// really did block for it.
+    /// Inside the PPR kernel for this job's key.  Coalesced waiters report
+    /// the shared computation's time: each of them really did block for it.
     pub compute_us: u64,
 }
 
@@ -146,7 +148,7 @@ pub struct BatchSnapshot {
     pub coalesced: u64,
     /// Largest single batch seen.
     pub max_batch: u64,
-    /// Unique keys actually computed (not answered by the cache).
+    /// Unique keys computed (coalesced duplicates count once).
     pub computed: u64,
     /// Queued jobs shed by the dispatcher because their deadline had
     /// already expired when the batch was drained.
@@ -271,23 +273,15 @@ impl Batcher {
     }
 
     /// Submits one PPR computation and blocks until its answer is ready
-    /// (from the cache, a coalesced neighbour, or a fresh dispatch).
-    pub fn submit(&self, key: CacheKey) -> Reply {
-        self.submit_with_deadline(key, None)
-    }
-
-    /// Like [`Batcher::submit`], but gives up with
-    /// [`SubmitError::DeadlineExceeded`] once `deadline` passes.  The
-    /// dispatcher may still finish (and cache) the computation; the answer
-    /// is simply no longer delivered to this waiter.
-    pub fn submit_with_deadline(&self, key: CacheKey, deadline: Option<Instant>) -> Reply {
-        self.submit_traced(key, deadline).map(|(answer, _)| answer)
-    }
-
-    /// Like [`Batcher::submit_with_deadline`], but also returns where the
-    /// blocking time went ([`JobTiming`]).  The timing rides next to the
-    /// answer, never inside it: cached and traced answers stay bitwise
-    /// identical.
+    /// (shared with a coalesced neighbour or freshly computed), returning
+    /// it with where the blocking time went ([`JobTiming`]).  The timing
+    /// rides next to the answer, never inside it: cached and traced answers
+    /// stay bitwise identical.
+    ///
+    /// With a `deadline`, the waiter gives up with
+    /// [`SubmitError::DeadlineExceeded`] once it passes.  The dispatcher may
+    /// still finish (and cache) the computation; the answer is simply no
+    /// longer delivered to this waiter.
     pub fn submit_traced(&self, key: CacheKey, deadline: Option<Instant>) -> TracedReply {
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         // Clone the sender out of the mutex so the channel send happens
@@ -464,33 +458,9 @@ fn dispatch_loop(
             entry.replies.push((job.reply, queue_wait_us));
         }
 
-        // Answer what the cache already holds.  Replies go out only after
-        // the cache lock is back down: `reply_all` sends on (bounded)
-        // channels, and a blocking send under the lock would stall every
-        // request thread probing the cache (K003).
-        let mut missing: Vec<CacheKey> = Vec::with_capacity(unique.len());
-        let mut hits: Vec<(CacheKey, Reply)> = Vec::with_capacity(unique.len());
-        {
-            let mut cache = lock_unpoisoned(&cache);
-            for key in unique {
-                match cache.get(&key) {
-                    Some(answer) => hits.push((key, Ok(answer))),
-                    None => missing.push(key),
-                }
-            }
-        }
-        // Assembly for cache hits ends here; their compute stage is empty.
-        let hit_assembly_us = clock::micros_since(drained_at);
-        for (key, answer) in hits {
-            reply_all(&mut waiters, &key, answer, hit_assembly_us, 0);
-        }
-        if missing.is_empty() {
-            continue;
-        }
-
-        // Effective deadline per missing key: none if any waiter needs the
-        // full answer, otherwise the latest waiter deadline.
-        let deadlines: Vec<Option<Instant>> = missing
+        // Effective deadline per key: none if any waiter needs the full
+        // answer, otherwise the latest waiter deadline.
+        let deadlines: Vec<Option<Instant>> = unique
             .iter()
             .map(|key| {
                 waiters
@@ -502,17 +472,17 @@ fn dispatch_loop(
         // Assembly for computed keys ends where the kernel dispatch starts.
         let assembly_us = clock::micros_since(drained_at);
 
-        // One multi-source dispatch over the unique missing keys.  Chunk
-        // size 1: each source is one unit of work, claimed by exactly one
-        // pool worker, computed with that worker's thread-local workspace.
+        // One multi-source dispatch over the unique keys.  Chunk size 1:
+        // each source is one unit of work, claimed by exactly one pool
+        // worker, computed with that worker's thread-local workspace.
         // Each unit is wrapped in `catch_unwind` so a panic (a bug, or the
         // `batcher.compute` failpoint) fails that key alone instead of
         // tearing down a pool worker or this dispatcher.  Each key's kernel
         // time is measured inside its own unit (timing rides next to the
         // answer and never into the cache).
         let exec = ctx.exec();
-        let answers: Vec<(Reply, u64)> = par_chunk_map_exec(missing.len(), 1, &exec, |range| {
-            let key = &missing[range.start];
+        let answers: Vec<(Reply, u64)> = par_chunk_map_exec(unique.len(), 1, &exec, |range| {
+            let key = &unique[range.start];
             let deadline = deadlines[range.start];
             let compute_start = clock::now();
             let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -528,24 +498,26 @@ fn dispatch_loop(
         });
         counters
             .computed
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
+            .fetch_add(unique.len() as u64, Ordering::Relaxed);
         if metrics.compute_us.is_active() {
             for (_, compute_us) in &answers {
                 metrics.compute_us.observe(*compute_us);
             }
         }
 
-        // Same split as above: fill the cache under the lock, answer the
-        // waiters after it is released.
+        // Fill the cache under the lock, answer the waiters after it is
+        // released: `reply_all` sends on (bounded) channels, and a blocking
+        // send under the lock would stall every connection thread probing
+        // the cache (K003).
         {
             let mut cache = lock_unpoisoned(&cache);
-            for (key, (answer, _)) in missing.iter().zip(answers.iter()) {
+            for (key, (answer, _)) in unique.iter().zip(answers.iter()) {
                 if let Ok(answer) = answer {
                     cache.insert(*key, Arc::clone(answer));
                 }
             }
         }
-        for (key, (answer, compute_us)) in missing.iter().zip(answers) {
+        for (key, (answer, compute_us)) in unique.iter().zip(answers) {
             reply_all(&mut waiters, key, answer, assembly_us, compute_us);
         }
     }
@@ -640,6 +612,13 @@ mod tests {
         Arc::new(barabasi_albert(200, 3, GraphKind::Undirected, 11).unwrap())
     }
 
+    /// Submits `key` and drops the stage timing.
+    fn submit(batcher: &Batcher, key: CacheKey, deadline: Option<Instant>) -> Reply {
+        batcher
+            .submit_traced(key, deadline)
+            .map(|(answer, _)| answer)
+    }
+
     fn batcher_with(cache: Arc<Mutex<PprCache>>, threads: usize) -> Batcher {
         Batcher::new(
             graph(),
@@ -665,7 +644,7 @@ mod tests {
         );
         for source in [0u32, 5, 17] {
             let key = CacheKey::new(source, 0.15, 1e-4, false);
-            let answer = batcher.submit(key).unwrap();
+            let answer = submit(&batcher, key, None).unwrap();
             let direct =
                 forward_push_with_policy(&graph, source, 0.15, 1e-4, DanglingPolicy::SelfLoop)
                     .unwrap();
@@ -681,11 +660,11 @@ mod tests {
         let cache = Arc::new(Mutex::new(PprCache::new(0))); // no cache: force coalescing to do the sharing
         let batcher = Arc::new(batcher_with(cache, 2));
         let key = CacheKey::new(3, 0.15, 1e-4, false);
-        let expected = batcher.submit(key).unwrap();
+        let expected = submit(&batcher, key, None).unwrap();
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let batcher = Arc::clone(&batcher);
-                std::thread::spawn(move || batcher.submit(key).unwrap())
+                std::thread::spawn(move || submit(&batcher, key, None).unwrap())
             })
             .collect();
         for handle in handles {
@@ -695,22 +674,6 @@ mod tests {
         let snapshot = batcher.snapshot();
         assert_eq!(snapshot.jobs, 9);
         assert!(snapshot.batches >= 1);
-        batcher.shutdown();
-    }
-
-    #[test]
-    fn cache_hits_skip_computation() {
-        let cache = Arc::new(Mutex::new(PprCache::new(8)));
-        let batcher = batcher_with(Arc::clone(&cache), 1);
-        let key = CacheKey::new(9, 0.15, 1e-4, false);
-        let first = batcher.submit(key).unwrap();
-        let second = batcher.submit(key).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second answer came from the cache"
-        );
-        assert_eq!(batcher.snapshot().computed, 1);
-        assert_eq!(cache.lock().unwrap().snapshot().hits, 1);
         batcher.shutdown();
     }
 
@@ -735,10 +698,6 @@ mod tests {
             timing.queue_wait_us + timing.assembly_us + timing.compute_us <= total_us,
             "stages are sub-intervals of the waiter's blocking time: {timing:?} vs {total_us}"
         );
-        // The second submission is a cache hit: no kernel time.
-        let (hit, hit_timing) = batcher.submit_traced(key, None).unwrap();
-        assert!(Arc::ptr_eq(&answer, &hit), "hit shares the cached answer");
-        assert_eq!(hit_timing.compute_us, 0);
         assert_eq!(batcher.snapshot().queue_depth, 0, "queue drained");
         batcher.shutdown();
     }
@@ -748,9 +707,7 @@ mod tests {
         let cache = Arc::new(Mutex::new(PprCache::new(8)));
         let batcher = batcher_with(cache, 1);
         batcher.shutdown();
-        let err = batcher
-            .submit(CacheKey::new(0, 0.15, 1e-4, false))
-            .unwrap_err();
+        let err = submit(&batcher, CacheKey::new(0, 0.15, 1e-4, false), None).unwrap_err();
         assert_eq!(err, SubmitError::ShuttingDown);
     }
 
@@ -767,7 +724,7 @@ mod tests {
             1024,
         );
         let key = CacheKey::new(4, 0.2, 1e-9, true);
-        let answer = batcher.submit(key).unwrap();
+        let answer = submit(&batcher, key, None).unwrap();
         let direct = nrp_core::ppr::single_source_ppr_with_policy(
             &graph,
             4,
@@ -785,13 +742,11 @@ mod tests {
         let cache = Arc::new(Mutex::new(PprCache::new(8)));
         let batcher = batcher_with(cache, 1);
         let key = CacheKey::new(2, 0.15, 1e-4, false);
-        let err = batcher
-            .submit_with_deadline(key, Some(Instant::now()))
-            .unwrap_err();
+        let err = submit(&batcher, key, Some(Instant::now())).unwrap_err();
         assert_eq!(err, SubmitError::DeadlineExceeded);
         // A fresh submission with a generous deadline still works.
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
-        let answer = batcher.submit_with_deadline(key, Some(deadline)).unwrap();
+        let answer = submit(&batcher, key, Some(deadline)).unwrap();
         assert!(!answer.entries.is_empty());
         batcher.shutdown();
     }
@@ -801,9 +756,9 @@ mod tests {
         let cache = Arc::new(Mutex::new(PprCache::new(0))); // no cache: both calls compute
         let batcher = batcher_with(cache, 1);
         let key = CacheKey::new(7, 0.15, 1e-5, false);
-        let unbounded = batcher.submit(key).unwrap();
+        let unbounded = submit(&batcher, key, None).unwrap();
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
-        let bounded = batcher.submit_with_deadline(key, Some(deadline)).unwrap();
+        let bounded = submit(&batcher, key, Some(deadline)).unwrap();
         assert_eq!(*unbounded, *bounded, "deadlines must never change values");
         batcher.shutdown();
     }
@@ -815,12 +770,12 @@ mod tests {
         let batcher = batcher_with(cache, 1);
         crate::fault::configure("batcher.compute=panic:1.0:1", 42).unwrap();
         let key = CacheKey::new(5, 0.15, 1e-4, false);
-        let err = batcher.submit(key).unwrap_err();
+        let err = submit(&batcher, key, None).unwrap_err();
         assert_eq!(err, SubmitError::WorkerPanic);
         assert_eq!(batcher.snapshot().panics, 1);
         // The failpoint's trigger limit is spent; the dispatcher survived
         // and the same key now computes normally.
-        let answer = batcher.submit(key).unwrap();
+        let answer = submit(&batcher, key, None).unwrap();
         assert!(!answer.entries.is_empty());
         crate::fault::clear();
         batcher.shutdown();

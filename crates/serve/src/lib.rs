@@ -9,7 +9,8 @@
 //! ## Endpoints
 //!
 //! - `GET /ppr?source=…[&alpha=…&r_max=…&mode=push|exact&top=…]` —
-//!   single-source PPR through the request batcher and hot-source cache.
+//!   single-source PPR from the hot-source cache, or through the request
+//!   batcher on a miss.
 //! - `GET /knn?source=…&k=…` — top-K neighbours by embedding score.
 //! - `GET /recommend?source=…&k=…` — top-K *unlinked* candidates.
 //! - `GET /healthz`, `GET /stats` — liveness and counters.
@@ -18,12 +19,13 @@
 //!
 //! ## Production concerns reproduced here
 //!
-//! - **Request batching** ([`batcher`]): concurrent `/ppr` queries coalesce
-//!   into one multi-source dispatch over the shared
+//! - **Request batching** ([`batcher`]): concurrent `/ppr` cache misses
+//!   coalesce into one multi-source dispatch over the shared
 //!   [`WorkerPool`](nrp_core::context::EmbedContext), reusing per-worker
 //!   push workspaces.
 //! - **Hot-source caching** ([`cache`]): slab-backed LRU keyed by the exact
-//!   bit patterns of the query parameters, with hit/miss counters.
+//!   bit patterns of the query parameters, with hit/miss counters; a hit is
+//!   answered on the connection thread and never enters the batcher.
 //! - **Graceful shutdown** ([`server`]): in-flight requests drain before
 //!   [`Server::shutdown`] returns.
 //! - **Overload resilience**: per-request deadlines answered with `504`

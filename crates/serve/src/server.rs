@@ -7,7 +7,7 @@
 //! |--------------|------------|--------|
 //! | `GET /healthz` | — | liveness + graph size |
 //! | `GET /stats` | — | cache/batch/request counters, uptime |
-//! | `GET /ppr` | `source` (required), `alpha`, `r_max`, `mode=push\|exact`, `top` | single-source PPR through the batcher + cache |
+//! | `GET /ppr` | `source` (required), `alpha`, `r_max`, `mode=push\|exact`, `top` | single-source PPR from the cache, or through the batcher on a miss |
 //! | `GET /knn` | `source` (required), `k` | top-K nearest neighbours by embedding score |
 //! | `GET /recommend` | `source` (required), `k` | top-K *unlinked* candidates (link prediction) |
 //! | `GET /metrics` | — | Prometheus text exposition of every instrument family |
@@ -17,7 +17,10 @@
 //! block (deterministic trace ID plus per-stage microseconds: parse,
 //! admission, queue_wait, batch_assembly, kernel_compute, serialize) to the
 //! response, and every `/ppr` request — traced or not — records its stage
-//! breakdown into the bounded ring served at `/debug/traces`.
+//! breakdown into the bounded ring served at `/debug/traces`.  Admission
+//! includes the one cache probe, made on the connection thread: a hit is
+//! answered there and reports 0 for the three batcher stages, and only a
+//! miss waits on the batcher.
 //!
 //! Every response is JSON.  `/ppr` answers are **bitwise identical** to
 //! calling [`forward_push`](nrp_core::push::forward_push) /
@@ -41,7 +44,7 @@ use nrp_obs::{
     SeriesSnapshot, SeriesValue, Span, TraceContext, TraceIds, TraceLog,
 };
 
-use crate::batcher::{Batcher, PprAnswer, SubmitError};
+use crate::batcher::{Batcher, JobTiming, PprAnswer, SubmitError};
 use crate::cache::{CacheKey, PprCache};
 use crate::config::ServeConfig;
 use crate::degrade::{DegradeController, DegradeLevel};
@@ -473,7 +476,7 @@ impl ServeState {
             ),
             (
                 "nrp_batch_computed_total",
-                "Unique keys computed (not answered by the cache).",
+                "Unique keys computed (coalesced duplicates count once).",
                 batch.computed,
             ),
             (
@@ -732,30 +735,24 @@ impl ServeState {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
         }
 
+        // One cache probe on this thread: a hit is answered here and never
+        // reaches the batcher.  Probe under the lock, answer after it is
+        // released (K003).
         let key = CacheKey::new(params.source, params.alpha, params.r_max, exact);
-        let answer = if level >= DegradeLevel::CacheOnly {
-            // Probe under the lock, answer after it is released (K003).
-            let cached = {
-                let mut cache = lock_unpoisoned(&self.cache);
-                cache.get(&key)
-            };
-            admission_span.finish(trace);
-            match cached {
-                Some(answer) => answer,
-                None => {
-                    self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(self.overloaded_response("serving cached answers only"));
-                }
+        let cached = {
+            let mut cache = lock_unpoisoned(&self.cache);
+            cache.get(&key)
+        };
+        admission_span.finish(trace);
+        let (answer, timing) = match cached {
+            // A hit spends nothing in the batcher's stages.
+            Some(answer) => (answer, JobTiming::default()),
+            None if level >= DegradeLevel::CacheOnly => {
+                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                return Err(self.overloaded_response("serving cached answers only"));
             }
-        } else {
-            admission_span.finish(trace);
-            match self.batcher.submit_traced(key, deadline) {
-                Ok((answer, timing)) => {
-                    trace.record("queue_wait", timing.queue_wait_us);
-                    trace.record("batch_assembly", timing.assembly_us);
-                    trace.record("kernel_compute", timing.compute_us);
-                    answer
-                }
+            None => match self.batcher.submit_traced(key, deadline) {
+                Ok(traced) => traced,
                 Err(SubmitError::QueueFull) => {
                     self.degrade.record_pressure(self.now_ms());
                     self.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -773,8 +770,11 @@ impl ServeState {
                 Err(error @ (SubmitError::WorkerPanic | SubmitError::Failed(_))) => {
                     return Err(error_response(500, &error.to_string()));
                 }
-            }
+            },
         };
+        trace.record("queue_wait", timing.queue_wait_us);
+        trace.record("batch_assembly", timing.assembly_us);
+        trace.record("kernel_compute", timing.compute_us);
 
         let serialize_span = Span::start("serialize");
         let object = self.ppr_object(
@@ -859,9 +859,10 @@ impl ServeState {
         error_response(503, message).with_retry_after(self.config.retry_after_secs)
     }
 
-    /// Builds one `/ppr` answer object.  Shared by the batcher path and the
-    /// cache-only path so degraded answers stay bitwise identical to
-    /// full-service push answers.
+    /// Builds one `/ppr` answer object from a cached or freshly computed
+    /// answer, so every path (hit, miss, downgraded exact request) renders
+    /// the same bits.  With `top = k`, the `k` highest-scoring entries are
+    /// picked by selection ([`top_entries`]), not by a full sort.
     #[allow(clippy::too_many_arguments)]
     fn ppr_object(
         &self,
@@ -1036,12 +1037,22 @@ fn parse_float(request: &Request, name: &str, default: f64) -> Result<f64, Box<R
     }
 }
 
-/// Sorts `(node, score)` pairs by score descending, node ascending, and
-/// keeps the first `k`.  Scores are finite (embeddings and PPR vectors are
-/// finiteness-checked upstream), so `total_cmp` is a plain ordering here.
+/// The first `k` of `(node, score)` pairs ordered by score descending,
+/// node ascending, in that order.  Scores are finite (embeddings and PPR
+/// vectors are finiteness-checked upstream), so `total_cmp` is a plain
+/// ordering here, and node ids are unique, so the order is total: selecting
+/// the `k`-prefix and sorting only it gives exactly what a full sort and
+/// truncate would, in `O(n + k log k)`.
 fn top_entries(mut entries: Vec<(u32, f64)>, k: usize) -> Vec<(u32, f64)> {
-    entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    entries.truncate(k);
+    if k == 0 {
+        return Vec::new();
+    }
+    let order = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if k < entries.len() {
+        entries.select_nth_unstable_by(k - 1, order);
+        entries.truncate(k);
+    }
+    entries.sort_unstable_by(order);
     entries
 }
 
@@ -1355,6 +1366,48 @@ fn drain_to_eof<R: std::io::Read>(reader: &mut R) {
                 continue;
             }
             Err(_) => break,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The full-sort reference `top_entries` must reproduce exactly.
+    fn sorted_then_truncated(mut entries: Vec<(u32, f64)>, k: usize) -> Vec<(u32, f64)> {
+        entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        entries.truncate(k);
+        entries
+    }
+
+    #[test]
+    fn top_entries_matches_a_full_sort_under_heavy_ties() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        // Few distinct scores, so most comparisons fall through to the node
+        // id tie-break; both zeros are included because `total_cmp` orders
+        // them.
+        let scores = [1.0, 0.5, 0.25, 0.0, -0.0, 1e-300];
+        for len in [0usize, 1, 2, 3, 7, 64, 761] {
+            for _ in 0..8 {
+                let mut nodes: Vec<u32> = (0..len as u32 * 3).step_by(3).collect();
+                nodes.shuffle(&mut rng);
+                let entries: Vec<(u32, f64)> = nodes
+                    .into_iter()
+                    .map(|v| (v, scores[rng.gen_range(0..scores.len())]))
+                    .collect();
+                for k in [0, 1, len.saturating_sub(1), len, len + 3] {
+                    let got = top_entries(entries.clone(), k);
+                    let want = sorted_then_truncated(entries.clone(), k);
+                    let bits = |e: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                        e.iter().map(|&(v, p)| (v, p.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "len {len}, k {k}");
+                }
+            }
         }
     }
 }

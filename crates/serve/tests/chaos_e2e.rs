@@ -273,3 +273,71 @@ fn the_same_seed_reproduces_the_same_injection_schedule() {
     let (other, _) = run(0xFEED_FACE);
     assert_ne!(first, other, "a different seed reschedules");
 }
+
+#[test]
+fn a_warm_key_answers_while_the_batcher_is_held_and_the_queue_is_full() {
+    // The batcher is held inside a long injected compute and its one queue
+    // slot is taken, so any further miss sheds.  A cached key must still
+    // answer 200: hits are served on the connection thread and never enter
+    // the queue.
+    // No failpoint yet: the warming miss below must run undelayed.
+    let _scope = FaultScope::install("", 9);
+    let server = start_server(ServeConfig {
+        queue_capacity: 1,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let mut client = HttpClient::new(addr);
+    let (status, _) = client.get("/ppr?source=0&top=4").expect("warming miss");
+    assert_eq!(status, 200);
+
+    let batch_stat = |name: &str| -> u64 {
+        nrp_serve::get_json_once(addr, "/stats")
+            .expect("stats")
+            .as_object()
+            .and_then(|o| o.get("batch"))
+            .and_then(|v| v.as_object())
+            .and_then(|o| o.get(name))
+            .and_then(|v| v.as_u64())
+            .expect("batch counter")
+    };
+    // Polls until `ready` holds, failing after a generous bound.
+    let wait_for = |what: &str, ready: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !ready() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out waiting for {what}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    };
+
+    fault::configure("batcher.compute=delay(1500):1.0:1", 9).expect("valid failpoint spec");
+    std::thread::scope(|scope| {
+        let held = scope.spawn(|| HttpClient::new(addr).get("/ppr?source=1&top=4"));
+        // The failpoint triggers once the dispatcher has drained this miss
+        // and entered its compute, just before the injected sleep.
+        wait_for("the held compute", &|| {
+            fault::triggered("batcher.compute") == 1
+        });
+        let queued = scope.spawn(|| HttpClient::new(addr).get("/ppr?source=2&top=4"));
+        wait_for("the queued miss", &|| batch_stat("queue_depth") == 1);
+
+        let shed = HttpClient::new(addr)
+            .get_full("/ppr?source=3&top=4", &[])
+            .expect("a shed response");
+        assert_eq!(shed.status, 503, "the queue is full");
+        let (status, _) = client.get("/ppr?source=0&top=4").expect("warm key");
+        assert_eq!(status, 200, "a hit does not wait for the held batcher");
+        assert_eq!(batch_stat("queue_depth"), 1, "the hit did not queue");
+
+        assert_eq!(held.join().expect("held request").expect("answer").0, 200);
+        assert_eq!(
+            queued.join().expect("queued request").expect("answer").0,
+            200
+        );
+    });
+    assert_eq!(fault::triggered("batcher.compute"), 1);
+    server.shutdown();
+}

@@ -716,6 +716,114 @@ fn traced_ppr_reports_stage_breakdown() {
     server.shutdown();
 }
 
+/// One `/stats` counter, `section.name`.
+fn stat(client: &mut HttpClient, section: &str, name: &str) -> u64 {
+    client
+        .get_json("/stats")
+        .expect("/stats")
+        .as_object()
+        .and_then(|o| o.get(section))
+        .and_then(|v| v.as_object())
+        .and_then(|o| o.get(name))
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("/stats lacks {section}.{name}"))
+}
+
+/// Cache hits are answered on the connection thread: they never reach the
+/// batcher, each counts exactly once as a hit, their trace still lists all
+/// six stages (the batcher's three at zero), and they serve the same bits
+/// as the kernel.
+#[test]
+fn cache_hits_bypass_the_batcher_and_serve_the_kernel_bits() {
+    const HITS: u64 = 5;
+    let server = start_server(test_config());
+    let (graph, _) = fixture_parts();
+    let config = server.state().config().clone();
+    let mut client = HttpClient::new(server.addr());
+    let source = 9u32;
+    let target = format!("/ppr?source={source}");
+    client.get_json(&target).expect("warming miss");
+
+    let counters = |client: &mut HttpClient| {
+        [
+            stat(client, "batch", "jobs"),
+            stat(client, "batch", "batches"),
+            stat(client, "cache", "hits"),
+            stat(client, "cache", "misses"),
+        ]
+    };
+    let before = counters(&mut client);
+    let direct =
+        forward_push_with_policy(graph, source, config.alpha, config.r_max, config.dangling)
+            .expect("direct push");
+    for i in 0..HITS {
+        let headers: &[(&str, &str)] = if i == 0 { &[("x-trace", "1")] } else { &[] };
+        let response = client.get_full(&target, headers).expect("/ppr hit");
+        assert_eq!(response.status, 200);
+        let body: serde::Value =
+            serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).expect("JSON");
+        let object = body.as_object().unwrap();
+        let entries: Vec<(u32, u64)> = object
+            .get("entries")
+            .and_then(|v| v.as_array())
+            .expect("push answers carry entries")
+            .iter()
+            .map(|pair| {
+                let pair = pair.as_array().expect("[node, value] pair");
+                (
+                    pair[0].as_u64().expect("node id") as u32,
+                    pair[1].as_f64().expect("estimate").to_bits(),
+                )
+            })
+            .collect();
+        let expected: Vec<(u32, u64)> = direct
+            .estimates
+            .iter()
+            .map(|&(v, p)| (v, p.to_bits()))
+            .collect();
+        assert_eq!(entries, expected, "hit {i} differs from the kernel");
+        assert_eq!(
+            object
+                .get("residual_mass")
+                .and_then(|v| v.as_f64())
+                .map(f64::to_bits),
+            Some(direct.residual_mass.to_bits())
+        );
+        assert_eq!(
+            object.get("num_pushes").and_then(|v| v.as_u64()),
+            Some(direct.num_pushes as u64)
+        );
+        if let Some(trace) = object.get("trace").and_then(|v| v.as_object()) {
+            let stages = trace.get("stages_us").and_then(|v| v.as_object()).unwrap();
+            for stage in [
+                "parse",
+                "admission",
+                "queue_wait",
+                "batch_assembly",
+                "kernel_compute",
+                "serialize",
+            ] {
+                let us = stages.get(stage).and_then(|v| v.as_u64());
+                assert!(us.is_some(), "stage {stage} missing from {stages:?}");
+                if matches!(stage, "queue_wait" | "batch_assembly" | "kernel_compute") {
+                    assert_eq!(us, Some(0), "a hit spends nothing in {stage}");
+                }
+            }
+            let total_us = trace.get("total_us").and_then(|v| v.as_u64()).unwrap();
+            let stage_sum_us = trace.get("stage_sum_us").and_then(|v| v.as_u64()).unwrap();
+            assert!(stage_sum_us <= total_us, "{stage_sum_us}µs > {total_us}µs");
+        } else {
+            assert_ne!(i, 0, "the traced hit carries a trace block");
+        }
+    }
+    let after = counters(&mut client);
+    assert_eq!(after[0], before[0], "hits submit no batcher jobs");
+    assert_eq!(after[1], before[1], "hits wake no batches");
+    assert_eq!(after[2], before[2] + HITS, "each hit counted once");
+    assert_eq!(after[3], before[3], "no misses");
+    server.shutdown();
+}
+
 #[test]
 fn metrics_endpoint_exposes_core_families() {
     let server = start_server(test_config());

@@ -167,10 +167,11 @@
 //! HTTP/1.1 — hand-rolled on `std::net`, zero external dependencies.
 //!
 //! * `GET /ppr?source=…[&alpha=…&r_max=…&mode=push|exact&top=…]` —
-//!   single-source PPR.  Concurrent queries **coalesce into one batched
+//!   single-source PPR.  A slab-backed **LRU hot-source cache**, keyed by
+//!   the exact bit patterns of the parameters, answers hits on the
+//!   connection thread; concurrent misses **coalesce into one batched
 //!   multi-source dispatch** over the shared worker pool (reusing
-//!   per-worker push workspaces), and answers land in a slab-backed **LRU
-//!   hot-source cache** keyed by the exact bit patterns of the parameters.
+//!   per-worker push workspaces), and their answers land in the cache.
 //!   An answer is bitwise identical whether it came from the cache, a
 //!   coalesced batch, or a direct
 //!   [`forward_push`](nrp_core::push::forward_push) /
