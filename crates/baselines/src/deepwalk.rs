@@ -2,7 +2,9 @@
 //! skip-gram with negative sampling.  Produces one vector per node
 //! (symmetric scoring).
 
-use nrp_core::{EmbedContext, EmbedOutput, Embedder, Embedding, MethodConfig, Result, StageClock};
+use nrp_core::{
+    EmbedContext, EmbedOutput, Embedder, Embedding, MethodConfig, NrpError, Result, StageClock,
+};
 use nrp_graph::Graph;
 
 use crate::sgns::{train_sgns, walk_frequencies, SgnsConfig};
@@ -83,6 +85,11 @@ impl Embedder for DeepWalk {
 
     fn embed(&self, graph: &Graph, ctx: &EmbedContext) -> Result<EmbedOutput> {
         let p = &self.params;
+        if p.dimension == 0 {
+            return Err(NrpError::InvalidParameter(
+                "DeepWalk needs dimension >= 1".into(),
+            ));
+        }
         ctx.ensure_active()?;
         let seed = ctx.seed_or(p.seed);
         let threads = ctx.thread_budget();
@@ -95,7 +102,7 @@ impl Embedder for DeepWalk {
         clock.lap_parallel("walks", threads);
         ctx.ensure_active()?;
         let config = SgnsConfig {
-            dimension: p.dimension.max(1),
+            dimension: p.dimension,
             epochs: p.epochs,
             negatives: p.negatives,
             learning_rate: p.learning_rate,

@@ -20,6 +20,9 @@
 //! Shared machinery lives in [`alias`] (O(1) weighted sampling), [`walks`]
 //! (uniform and node2vec-biased random walks, α-decay PPR walks) and
 //! [`sgns`] (skip-gram with negative sampling).
+//!
+//! [`build`] turns any [`nrp_core::MethodConfig`] — NRP and ApproxPPR
+//! included — into its boxed embedder, with one `match` arm per method.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +30,7 @@
 pub mod alias;
 pub mod app;
 pub mod arope;
+mod config;
 pub mod deepwalk;
 pub mod line;
 pub mod node2vec;
@@ -40,6 +44,7 @@ pub mod walks;
 
 pub use app::App;
 pub use arope::Arope;
+pub use config::build;
 pub use deepwalk::DeepWalk;
 pub use line::Line;
 pub use node2vec::Node2Vec;
@@ -48,286 +53,31 @@ pub use spectral::SpectralEmbedding;
 pub use strap::Strap;
 pub use verse::Verse;
 
-use nrp_core::{register_method, Embedder, MethodConfig, NrpError, Result};
-
-/// Returns one boxed instance of every baseline with mostly-default
-/// parameters at the given embedding dimension and seed — convenient for the
-/// benchmark harnesses that sweep "all methods".
-pub fn all_baselines(dimension: usize, seed: u64) -> Vec<Box<dyn Embedder>> {
-    vec![
-        Box::new(Arope::new(arope::AropeParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(RandNe::new(randne::RandNeParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(SpectralEmbedding::new(spectral::SpectralParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(Strap::new(strap::StrapParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(DeepWalk::new(deepwalk::DeepWalkParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(Node2Vec::new(node2vec::Node2VecParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(Line::new(line::LineParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(Verse::new(verse::VerseParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-        Box::new(App::new(app::AppParams {
-            dimension,
-            seed,
-            ..Default::default()
-        })),
-    ]
-}
-
-/// Adds all nine baselines to the `nrp-core` method registry, so that
-/// [`MethodConfig::build`] can resolve them (e.g. from a JSON experiment
-/// description).  Idempotent and cheap; call it once at startup — the
-/// umbrella crate's `nrp::init()` and the benchmark roster do this for you.
-pub fn register_baselines() {
-    register_method("STRAP", build_strap);
-    register_method("AROPE", build_arope);
-    register_method("RandNE", build_randne);
-    register_method("Spectral", build_spectral);
-    register_method("DeepWalk", build_deepwalk);
-    register_method("node2vec", build_node2vec);
-    register_method("LINE", build_line);
-    register_method("VERSE", build_verse);
-    register_method("APP", build_app);
-}
-
-fn mismatch(expected: &str, got: &MethodConfig) -> NrpError {
-    NrpError::InvalidParameter(format!(
-        "{expected} builder received a `{}` config",
-        got.method_name()
-    ))
-}
-
-fn build_strap(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::Strap {
-            dimension,
-            alpha,
-            delta,
-            iterations,
-            dangling,
-            seed,
-        } => Ok(Box::new(Strap::new(strap::StrapParams {
-            dimension: *dimension,
-            alpha: *alpha,
-            delta: *delta,
-            iterations: *iterations,
-            dangling: *dangling,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("STRAP", other)),
-    }
-}
-
-fn build_arope(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::Arope {
-            dimension,
-            order_weights,
-            oversample,
-            iterations,
-            seed,
-        } => Ok(Box::new(Arope::new(arope::AropeParams {
-            dimension: *dimension,
-            order_weights: order_weights.clone(),
-            oversample: *oversample,
-            iterations: *iterations,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("AROPE", other)),
-    }
-}
-
-fn build_randne(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::RandNe {
-            dimension,
-            order_weights,
-            seed,
-        } => Ok(Box::new(RandNe::new(randne::RandNeParams {
-            dimension: *dimension,
-            order_weights: order_weights.clone(),
-            seed: *seed,
-        }))),
-        other => Err(mismatch("RandNE", other)),
-    }
-}
-
-fn build_spectral(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::Spectral {
-            dimension,
-            oversample,
-            iterations,
-            seed,
-        } => Ok(Box::new(SpectralEmbedding::new(spectral::SpectralParams {
-            dimension: *dimension,
-            oversample: *oversample,
-            iterations: *iterations,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("Spectral", other)),
-    }
-}
-
-fn build_deepwalk(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::DeepWalk {
-            dimension,
-            walks_per_node,
-            walk_length,
-            window,
-            epochs,
-            negatives,
-            learning_rate,
-            seed,
-        } => Ok(Box::new(DeepWalk::new(deepwalk::DeepWalkParams {
-            dimension: *dimension,
-            walks_per_node: *walks_per_node,
-            walk_length: *walk_length,
-            window: *window,
-            epochs: *epochs,
-            negatives: *negatives,
-            learning_rate: *learning_rate,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("DeepWalk", other)),
-    }
-}
-
-fn build_node2vec(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::Node2Vec {
-            dimension,
-            p,
-            q,
-            walks_per_node,
-            walk_length,
-            window,
-            epochs,
-            negatives,
-            learning_rate,
-            seed,
-        } => Ok(Box::new(Node2Vec::new(node2vec::Node2VecParams {
-            dimension: *dimension,
-            p: *p,
-            q: *q,
-            walks_per_node: *walks_per_node,
-            walk_length: *walk_length,
-            window: *window,
-            epochs: *epochs,
-            negatives: *negatives,
-            learning_rate: *learning_rate,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("node2vec", other)),
-    }
-}
-
-fn build_line(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::Line {
-            dimension,
-            samples,
-            negatives,
-            learning_rate,
-            seed,
-        } => Ok(Box::new(Line::new(line::LineParams {
-            dimension: *dimension,
-            samples: *samples,
-            negatives: *negatives,
-            learning_rate: *learning_rate,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("LINE", other)),
-    }
-}
-
-fn build_verse(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::Verse {
-            dimension,
-            alpha,
-            samples_per_node,
-            epochs,
-            negatives,
-            learning_rate,
-            seed,
-        } => Ok(Box::new(Verse::new(verse::VerseParams {
-            dimension: *dimension,
-            alpha: *alpha,
-            samples_per_node: *samples_per_node,
-            epochs: *epochs,
-            negatives: *negatives,
-            learning_rate: *learning_rate,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("VERSE", other)),
-    }
-}
-
-fn build_app(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::App {
-            dimension,
-            alpha,
-            samples_per_node,
-            epochs,
-            negatives,
-            learning_rate,
-            seed,
-        } => Ok(Box::new(App::new(app::AppParams {
-            dimension: *dimension,
-            alpha: *alpha,
-            samples_per_node: *samples_per_node,
-            epochs: *epochs,
-            negatives: *negatives,
-            learning_rate: *learning_rate,
-            seed: *seed,
-        }))),
-        other => Err(mismatch("APP", other)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nrp_core::{Embedder, MethodConfig};
     use nrp_graph::generators::stochastic_block_model;
     use nrp_graph::GraphKind;
+
+    /// Every method of the roster at paper defaults, built at `dimension`
+    /// and `seed`.
+    fn roster(dimension: usize, seed: u64) -> Vec<Box<dyn Embedder>> {
+        MethodConfig::all_defaults()
+            .into_iter()
+            .map(|mut config| {
+                config.set_dimension(dimension);
+                config.set_seed(seed);
+                build(&config).unwrap_or_else(|e| panic!("{}: {e}", config.method_name()))
+            })
+            .collect()
+    }
 
     #[test]
     fn all_baselines_produce_finite_embeddings() {
         let (g, _) =
             stochastic_block_model(&[20, 20], 0.25, 0.03, GraphKind::Undirected, 1).unwrap();
-        for embedder in all_baselines(8, 7) {
+        for embedder in roster(8, 7) {
             let e = embedder
                 .embed_default(&g)
                 .unwrap_or_else(|_| panic!("{}", embedder.name()));
@@ -342,21 +92,17 @@ mod tests {
 
     #[test]
     fn baseline_names_are_unique() {
-        let names: Vec<&str> = all_baselines(8, 0).iter().map(|b| b.name()).collect();
+        let names: Vec<&str> = roster(8, 0).iter().map(|b| b.name()).collect();
         let unique: std::collections::HashSet<&&str> = names.iter().collect();
         assert_eq!(unique.len(), names.len());
     }
 
     #[test]
-    fn registry_builds_every_baseline_from_its_config() {
-        register_baselines();
-        register_baselines(); // idempotent
-        for name in [
-            "STRAP", "AROPE", "RandNE", "Spectral", "DeepWalk", "node2vec", "LINE", "VERSE", "APP",
-        ] {
+    fn build_makes_every_method_from_its_config() {
+        for name in MethodConfig::method_names() {
             let config = MethodConfig::default_for(name).expect("known method");
-            let embedder = config.build().expect(name);
-            assert_eq!(embedder.name(), name);
+            let embedder = build(&config).expect(name);
+            assert_eq!(embedder.name(), *name);
             // The embedder echoes exactly the config it was built from, which
             // also pins the `MethodConfig` paper defaults to the per-method
             // `*Params::default()` values.
@@ -367,8 +113,8 @@ mod tests {
     /// Replaces every field of a serialized config with a non-default value
     /// that stays inside each parameter's valid range: ints `+2` (keeps
     /// dimensions even), floats halved (keeps `(0,1)` ranges inside `(0,1)`),
-    /// bools flipped, the SVD-method string toggled, arrays halved per
-    /// element.
+    /// bools flipped, the SVD-method and dangling-policy strings toggled,
+    /// arrays halved per element.
     fn perturb(value: &serde_json::Value) -> serde_json::Value {
         use serde_json::{Number, Value};
         match value {
@@ -377,6 +123,7 @@ mod tests {
             Value::Bool(b) => Value::Bool(!b),
             Value::String(s) if s == "block-krylov" => Value::String("subspace-iteration".into()),
             Value::String(s) if s == "subspace-iteration" => Value::String("block-krylov".into()),
+            Value::String(s) if s == "self-loop" => Value::String("teleport".into()),
             Value::Array(items) => Value::Array(items.iter().map(perturb).collect()),
             other => other.clone(),
         }
@@ -384,11 +131,10 @@ mod tests {
 
     #[test]
     fn builders_copy_every_field() {
-        // Drift guard for the hand-written build_* functions (here and in
-        // nrp-core): build each method from a config where EVERY field is
-        // non-default and check the embedder echoes it exactly — a builder
-        // that drops or miscopies a field fails this for that field.
-        register_baselines();
+        // Drift guard for `build` and `NrpParams::from_config`: build each
+        // method from a config where EVERY field is non-default and check the
+        // embedder echoes it exactly — an arm that drops or miscopies a field
+        // fails this for that field.
         for name in MethodConfig::method_names() {
             let default = MethodConfig::default_for(name).expect("known method");
             let serde_json::Value::Object(object) = serde_json::to_value(&default) else {
@@ -406,7 +152,7 @@ mod tests {
             let perturbed: MethodConfig =
                 serde_json::from_value(&serde_json::Value::Object(perturbed_object)).expect(name);
             assert_ne!(perturbed, default, "{name}: perturbation had no effect");
-            let embedder = perturbed.build().expect(name);
+            let embedder = build(&perturbed).expect(name);
             assert_eq!(
                 embedder.config(),
                 perturbed,

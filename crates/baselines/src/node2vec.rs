@@ -92,6 +92,11 @@ impl Embedder for Node2Vec {
 
     fn embed(&self, graph: &Graph, ctx: &EmbedContext) -> Result<EmbedOutput> {
         let p = &self.params;
+        if p.dimension == 0 {
+            return Err(NrpError::InvalidParameter(
+                "node2vec needs dimension >= 1".into(),
+            ));
+        }
         if p.p <= 0.0 || p.q <= 0.0 {
             return Err(NrpError::InvalidParameter(format!(
                 "node2vec p and q must be positive (got p={}, q={})",
@@ -118,7 +123,7 @@ impl Embedder for Node2Vec {
         clock.lap_parallel("walks", threads);
         ctx.ensure_active()?;
         let config = SgnsConfig {
-            dimension: p.dimension.max(1),
+            dimension: p.dimension,
             epochs: p.epochs,
             negatives: p.negatives,
             learning_rate: p.learning_rate,

@@ -13,11 +13,11 @@
 //! workspace-wide determinism contract the embeddings are bitwise identical
 //! across the sweep — only the wall clock moves.
 
+use nrp_baselines::build;
 use nrp_baselines::strap::{Strap, StrapParams};
-use nrp_bench::methods::approx_ppr;
 use nrp_bench::report::fmt_secs;
 use nrp_bench::{HarnessArgs, Scale, Table};
-use nrp_core::{EmbedContext, Embedder, Nrp};
+use nrp_core::{EmbedContext, Embedder, MethodConfig, Nrp};
 use nrp_graph::generators::erdos_renyi_nm;
 use nrp_graph::{Graph, GraphKind};
 
@@ -127,9 +127,12 @@ fn thread_sweep(args: &HarnessArgs, base_nodes: usize, base_edges: usize) {
         (
             "ApproxPPR",
             Box::new({
-                let (dim, seed) = (args.dimension, args.seed);
+                let mut config = MethodConfig::default_for("ApproxPPR").expect("known method");
+                config.set_dimension(args.dimension);
+                config.set_seed(args.seed);
+                let approx_ppr = build(&config).expect("valid ApproxPPR config");
                 move |g: &Graph, ctx: &EmbedContext| {
-                    let output = approx_ppr(dim, seed).embed(g, ctx).expect("ApproxPPR runs");
+                    let output = approx_ppr.embed(g, ctx).expect("ApproxPPR runs");
                     output.metadata().total.as_secs_f64()
                 }
             }),

@@ -220,15 +220,14 @@ impl HarnessArgs {
         self.roster_configs_at(self.dimension)
     }
 
-    /// Builds the effective roster at dimension `dimension` through the
-    /// method registry, exiting with a message on an invalid `--config`
-    /// entry (a harness binary has nothing better to do with one).
+    /// Builds the effective roster at dimension `dimension`, exiting with a
+    /// message on an invalid `--config` entry (a harness binary has nothing
+    /// better to do with one).
     pub fn roster_at(&self, dimension: usize) -> Vec<Box<dyn Embedder>> {
-        nrp_baselines::register_baselines();
         self.roster_configs_at(dimension)
             .iter()
             .map(|config| {
-                config.build().unwrap_or_else(|err| {
+                nrp_baselines::build(config).unwrap_or_else(|err| {
                     eprintln!(
                         "error: cannot build `{}` at dimension {dimension}: {err}",
                         config.method_name()
@@ -256,7 +255,7 @@ impl HarnessArgs {
             .and_then(|spec| {
                 spec.methods
                     .iter()
-                    .find_map(methods::nrp_params_from_config)
+                    .find_map(nrp_core::NrpParams::from_config)
             })
             .unwrap_or_default();
         params.dimension = self.dimension;

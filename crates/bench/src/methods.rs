@@ -1,31 +1,10 @@
-//! The method roster shared by the figure harnesses — built from the
-//! `nrp-core` method registry, so the harnesses sweep exactly the methods a
-//! declarative `MethodConfig` document can name.
+//! The method roster shared by the figure harnesses — built from
+//! [`MethodConfig::all_defaults`], so the harnesses sweep exactly the
+//! methods a declarative `MethodConfig` document can name.
 
-use nrp_core::{ApproxPpr, ApproxPprParams};
-use nrp_core::{Embedder, MethodConfig, Nrp, NrpParams};
+use nrp_core::{Embedder, MethodConfig};
 
-/// Builds NRP with the paper's default hyper-parameters at dimension `k`.
-pub fn nrp(dimension: usize, seed: u64) -> Nrp {
-    Nrp::new(
-        NrpParams::builder()
-            .dimension(dimension)
-            .seed(seed)
-            .build()
-            .expect("paper defaults are valid"),
-    )
-}
-
-/// Builds the ApproxPPR baseline at dimension `k`.
-pub fn approx_ppr(dimension: usize, seed: u64) -> ApproxPpr {
-    ApproxPpr::new(ApproxPprParams {
-        half_dimension: (dimension / 2).max(1),
-        seed,
-        ..Default::default()
-    })
-}
-
-/// The configurations behind [`roster`]: every registered method at paper
+/// The configurations behind [`roster`]: every method at paper
 /// defaults, with the dimension and seed applied uniformly and the sampling
 /// budgets of the walk-based methods reduced so a full sweep completes in
 /// reasonable time (the relative ordering of the methods is unaffected).
@@ -70,51 +49,12 @@ pub fn roster_configs(dimension: usize, seed: u64) -> Vec<MethodConfig> {
         .collect()
 }
 
-/// Converts an `NRP` [`MethodConfig`] entry into concrete [`NrpParams`] —
-/// used by the NRP-only parameter-sweep bins (Figs. 8, 10, 11) to take their
-/// base configuration from a `--config` document.  Returns `None` for any
-/// other variant.
-pub fn nrp_params_from_config(config: &MethodConfig) -> Option<NrpParams> {
-    match config {
-        MethodConfig::Nrp {
-            dimension,
-            alpha,
-            num_hops,
-            reweight_epochs,
-            epsilon,
-            lambda,
-            svd_method,
-            exact_b1,
-            dangling,
-            seed,
-        } => Some(NrpParams {
-            dimension: *dimension,
-            alpha: *alpha,
-            num_hops: *num_hops,
-            reweight_epochs: *reweight_epochs,
-            epsilon: *epsilon,
-            lambda: *lambda,
-            svd_method: *svd_method,
-            exact_b1: *exact_b1,
-            dangling: *dangling,
-            seed: *seed,
-        }),
-        _ => None,
-    }
-}
-
 /// The full roster evaluated by the figure harnesses: NRP, ApproxPPR and one
-/// representative per competitor family, instantiated through the method
-/// registry from [`roster_configs`].
+/// representative per competitor family, built from [`roster_configs`].
 pub fn roster(dimension: usize, seed: u64) -> Vec<Box<dyn Embedder>> {
-    nrp_baselines::register_baselines();
     roster_configs(dimension, seed)
         .iter()
-        .map(|config| {
-            config
-                .build()
-                .expect("roster methods are registered and valid")
-        })
+        .map(|config| nrp_baselines::build(config).expect("roster methods are valid"))
         .collect()
 }
 
@@ -163,20 +103,18 @@ mod tests {
         use nrp_graph::generators::stochastic_block_model;
         use nrp_graph::GraphKind;
 
-        nrp_baselines::register_baselines();
         let (graph, _) =
             stochastic_block_model(&[12, 12], 0.4, 0.05, GraphKind::Undirected, 3).unwrap();
         for config in roster_configs(8, 3) {
-            // Round-trip through JSON, then build and embed through the
-            // registry: proves a JSON document can drive every method.
+            // Round-trip through JSON, then build and embed: proves a JSON
+            // document can drive every method.
             let json = config
                 .to_json()
                 .unwrap_or_else(|_| panic!("{}", config.method_name()));
             let parsed: MethodConfig =
                 serde_json::from_str(&json).unwrap_or_else(|_| panic!("{}", config.method_name()));
             assert_eq!(parsed, config);
-            let embedder = parsed
-                .build()
+            let embedder = nrp_baselines::build(&parsed)
                 .unwrap_or_else(|_| panic!("{}", config.method_name()));
             let embedding = embedder
                 .embed_default(&graph)

@@ -29,8 +29,8 @@
 //! one `[[methods]]` section per entry, each section using the flat grammar
 //! of [`MethodConfig::from_toml`].
 //!
-//! [`SweepRunner`] executes the grid through the method registry under an
-//! [`EmbedContext`] and streams one [`RunMetadata`] record per run as
+//! [`SweepRunner`] builds each entry with `nrp_baselines::build`, runs it
+//! under an [`EmbedContext`] and streams one [`RunMetadata`] record per run as
 //! RFC-4180 CSV (dataset, repeat, method, config, seed, threads, per-stage
 //! wall clock, total, status).
 
@@ -375,7 +375,6 @@ impl SweepRunner {
         skip: &HashSet<SweepCell>,
         write_header: bool,
     ) -> Result<Vec<SweepRecord>, String> {
-        nrp_baselines::register_baselines();
         let spec = &self.spec;
         let scale = spec.scale.unwrap_or(defaults.scale);
         let seeds = if spec.seeds.is_empty() {
@@ -427,7 +426,7 @@ impl SweepRunner {
                                 config.set_dimension(dimension);
                             }
                             config.set_seed(seed);
-                            let outcome = config.build().and_then(|embedder| {
+                            let outcome = nrp_baselines::build(&config).and_then(|embedder| {
                                 let ctx = EmbedContext::new().with_seed(seed).with_threads(threads);
                                 embedder.embed(&dataset.graph, &ctx)
                             });

@@ -1,4 +1,4 @@
-//! Declarative method configuration and the embedder registry.
+//! Declarative method configuration.
 //!
 //! [`MethodConfig`] describes any of the workspace's eleven embedding methods
 //! as plain data: one enum variant per method, internally tagged by the
@@ -11,27 +11,16 @@
 //!     serde_json::from_str(r#"{"method": "NRP", "dimension": 16, "seed": 7}"#).unwrap();
 //! assert_eq!(config.method_name(), "NRP");
 //! assert_eq!(config.dimension(), 16);
-//! let embedder = config.build().unwrap();
-//! assert_eq!(embedder.name(), "NRP");
 //! ```
 //!
-//! [`MethodConfig::build`] resolves a configuration to a boxed
-//! [`Embedder`] through a process-wide registry.
-//! `nrp-core` registers its own two methods (`NRP`, `ApproxPPR`) on first
-//! use; the nine baselines live in the downstream `nrp-baselines` crate,
-//! which cannot be a dependency of this one, so they join the registry when
-//! `nrp_baselines::register_baselines()` (or the umbrella crate's
-//! `nrp::init()`) runs.  Building an unregistered method fails with
-//! [`NrpError::UnknownMethod`] naming that entry point.
-
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+//! Turning a configuration into an embedder is `nrp_baselines::build` (also
+//! re-exported by the umbrella crate as `nrp::build`): one exhaustive `match`
+//! over every variant, so a method added here without a builder there fails
+//! to compile.  It lives downstream because the nine baselines do, and
+//! `nrp-baselines` depends on this crate, not the other way round.
 
 use nrp_linalg::{DanglingPolicy, RandomizedSvdMethod};
 
-use crate::approx_ppr::{ApproxPpr, ApproxPprParams};
-use crate::embedding::Embedder;
-use crate::nrp::{Nrp, NrpParams};
 use crate::{NrpError, Result};
 
 /// Generates the `MethodConfig` enum plus its name table, defaults and
@@ -58,8 +47,8 @@ macro_rules! method_configs {
         }
 
         impl MethodConfig {
-            /// The method's registry name — the value of the serialized
-            /// `method` tag.
+            /// The method's name — the value of the serialized `method`
+            /// tag.
             pub fn method_name(&self) -> &'static str {
                 match self {
                     $( MethodConfig::$variant { .. } => $tag, )*
@@ -327,25 +316,6 @@ impl MethodConfig {
         let object = flat_toml_to_value(text)?;
         serde::Deserialize::from_value(&object).map_err(|e| NrpError::Serialization(e.to_string()))
     }
-
-    /// Builds the configured embedder through the method registry.
-    pub fn build(&self) -> Result<Box<dyn Embedder>> {
-        let name = self.method_name();
-        // Bind the guard and drop it before invoking the builder (or the
-        // error path, which re-locks via `registered_methods`): only the
-        // map lookup itself happens under `REGISTRY`.
-        let map = registry().lock().expect("method registry poisoned");
-        let builder = map.get(name).copied();
-        drop(map);
-        match builder {
-            Some(builder) => builder(self),
-            None => Err(NrpError::UnknownMethod(format!(
-                "`{name}` is not registered (registered: {}); baseline methods join the \
-                 registry via `nrp_baselines::register_baselines()` or `nrp::init()`",
-                registered_methods().join(", ")
-            ))),
-        }
-    }
 }
 
 /// Parses a flat TOML table (`key = value` lines with scalar or array
@@ -363,9 +333,18 @@ pub fn flat_toml_to_value(text: &str) -> Result<serde::Value> {
         let (key, value_text) = line.split_once('=').ok_or_else(|| {
             NrpError::Serialization(format!("TOML line {}: expected `key = value`", line_no + 1))
         })?;
+        let key = key.trim();
+        // TOML forbids duplicate keys, and overwriting would silently run
+        // with the later value.
+        if object.get(key).is_some() {
+            return Err(NrpError::Serialization(format!(
+                "TOML line {}: duplicate key `{key}`",
+                line_no + 1
+            )));
+        }
         let value = parse_toml_value(value_text.trim())
             .map_err(|e| NrpError::Serialization(format!("TOML line {}: {e}", line_no + 1)))?;
-        object.insert(key.trim(), value);
+        object.insert(key, value);
     }
     Ok(serde::Value::Object(object))
 }
@@ -473,116 +452,6 @@ fn parse_toml_value(text: &str) -> std::result::Result<serde::Value, String> {
         .map_err(|_| format!("invalid value `{text}`"))
 }
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-/// A function that builds an embedder from its configuration.
-pub type MethodBuilder = fn(&MethodConfig) -> Result<Box<dyn Embedder>>;
-
-static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, MethodBuilder>>> = OnceLock::new();
-
-fn registry() -> &'static Mutex<BTreeMap<&'static str, MethodBuilder>> {
-    REGISTRY.get_or_init(|| {
-        let mut map: BTreeMap<&'static str, MethodBuilder> = BTreeMap::new();
-        map.insert("NRP", build_nrp);
-        map.insert("ApproxPPR", build_approx_ppr);
-        Mutex::new(map)
-    })
-}
-
-/// Registers (or replaces) the builder for a method name.  Idempotent.
-pub fn register_method(name: &'static str, builder: MethodBuilder) {
-    registry()
-        .lock()
-        .expect("method registry poisoned")
-        .insert(name, builder);
-}
-
-/// The names currently resolvable by [`MethodConfig::build`], sorted.
-pub fn registered_methods() -> Vec<&'static str> {
-    registry()
-        .lock()
-        .expect("method registry poisoned")
-        .keys()
-        .copied()
-        .collect()
-}
-
-fn build_nrp(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::Nrp {
-            dimension,
-            alpha,
-            num_hops,
-            reweight_epochs,
-            epsilon,
-            lambda,
-            svd_method,
-            exact_b1,
-            dangling,
-            seed,
-        } => {
-            let params = NrpParams {
-                dimension: *dimension,
-                alpha: *alpha,
-                num_hops: *num_hops,
-                reweight_epochs: *reweight_epochs,
-                epsilon: *epsilon,
-                lambda: *lambda,
-                svd_method: *svd_method,
-                exact_b1: *exact_b1,
-                dangling: *dangling,
-                seed: *seed,
-            };
-            params.validate()?;
-            Ok(Box::new(Nrp::new(params)))
-        }
-        other => Err(NrpError::InvalidParameter(format!(
-            "NRP builder received a `{}` config",
-            other.method_name()
-        ))),
-    }
-}
-
-fn build_approx_ppr(config: &MethodConfig) -> Result<Box<dyn Embedder>> {
-    match config {
-        MethodConfig::ApproxPpr {
-            dimension,
-            alpha,
-            num_hops,
-            epsilon,
-            svd_method,
-            dangling,
-            seed,
-        } => {
-            // Reject rather than round: silently mapping e.g. dimension 0 or
-            // 9 to a different half-dimension would make the echoed config
-            // disagree with the request.
-            if *dimension < 2 || !dimension.is_multiple_of(2) {
-                return Err(NrpError::InvalidParameter(format!(
-                    "ApproxPPR dimension must be an even number >= 2 (got {dimension})"
-                )));
-            }
-            let params = ApproxPprParams {
-                half_dimension: *dimension / 2,
-                alpha: *alpha,
-                num_hops: *num_hops,
-                epsilon: *epsilon,
-                svd_method: *svd_method,
-                dangling: *dangling,
-                seed: *seed,
-            };
-            params.validate()?;
-            Ok(Box::new(ApproxPpr::new(params)))
-        }
-        other => Err(NrpError::InvalidParameter(format!(
-            "ApproxPPR builder received a `{}` config",
-            other.method_name()
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,20 +524,13 @@ mod tests {
         assert!(MethodConfig::from_json(r#"{"method": "LINE", "alpha": 0.2}"#).is_err());
         // Same strictness through the TOML path.
         assert!(MethodConfig::from_toml("method = \"NRP\"\nepislon = 0.05\n").is_err());
-    }
-
-    #[test]
-    fn approx_ppr_rejects_zero_and_odd_dimensions() {
-        for bad in [0usize, 1, 9] {
-            let mut config = MethodConfig::default_for("ApproxPPR").unwrap();
-            config.set_dimension(bad);
-            assert!(config.build().is_err(), "dimension {bad} must be rejected");
-        }
-        // Even dimensions still build, and the echo matches the request.
-        let mut config = MethodConfig::default_for("ApproxPPR").unwrap();
-        config.set_dimension(10);
-        let embedder = config.build().unwrap();
-        assert_eq!(embedder.config(), config);
+        // A repeated key is an error, not a silent overwrite.
+        let err = MethodConfig::from_toml("method = \"NRP\"\ndimension = 16\ndimension = 64\n")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "serialization error: TOML line 3: duplicate key `dimension`"
+        );
     }
 
     #[test]
@@ -752,9 +614,6 @@ mod tests {
                 let toml = config.to_toml();
                 assert!(toml.contains(policy.as_str()), "{toml}");
                 assert_eq!(MethodConfig::from_toml(&toml).unwrap(), config);
-                // The built embedder echoes the policy back.
-                let embedder = config.build().unwrap();
-                assert_eq!(embedder.config(), config, "{name} {policy:?}");
             }
         }
         // Documents parse the policy by name, and bad names fail loudly.
@@ -768,40 +627,5 @@ mod tests {
             }
         ));
         assert!(MethodConfig::from_json(r#"{"method": "NRP", "dangling": "uniform"}"#).is_err());
-    }
-
-    #[test]
-    fn core_methods_build_without_registration() {
-        for name in ["NRP", "ApproxPPR"] {
-            let embedder = MethodConfig::default_for(name).unwrap().build().unwrap();
-            assert_eq!(embedder.name(), name);
-        }
-    }
-
-    #[test]
-    fn invalid_core_config_fails_to_build() {
-        let mut config = MethodConfig::default_for("NRP").unwrap();
-        if let MethodConfig::Nrp { alpha, .. } = &mut config {
-            *alpha = 2.0;
-        }
-        assert!(config.build().is_err());
-    }
-
-    #[test]
-    fn unregistered_method_reports_entry_point() {
-        // Registration is process-global, so pick a baseline name that core's
-        // own test binary never registers.
-        let Err(err) = MethodConfig::default_for("DeepWalk").unwrap().build() else {
-            panic!("DeepWalk must not build without registration");
-        };
-        assert!(matches!(err, NrpError::UnknownMethod(_)));
-        assert!(err.to_string().contains("register_baselines"), "{err}");
-    }
-
-    #[test]
-    fn registry_lists_core_methods() {
-        let names = registered_methods();
-        assert!(names.contains(&"NRP"));
-        assert!(names.contains(&"ApproxPPR"));
     }
 }

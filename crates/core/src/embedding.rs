@@ -206,7 +206,7 @@ serde::impl_struct_serde!(SerializableEmbedding {
 /// use the provided [`Embedder::embed_default`].
 pub trait Embedder {
     /// Human-readable method name (used in benchmark tables and as the
-    /// registry key of the method's `MethodConfig` variant).
+    /// `method` tag of the method's `MethodConfig` variant).
     fn name(&self) -> &'static str;
 
     /// The configured parameters as declarative data.

@@ -55,8 +55,6 @@ pub enum NrpError {
     Serialization(String),
     /// The run was cancelled through its `EmbedContext` flag.
     Cancelled,
-    /// A `MethodConfig` named a method with no registered builder.
-    UnknownMethod(String),
 }
 
 impl fmt::Display for NrpError {
@@ -69,7 +67,6 @@ impl fmt::Display for NrpError {
             NrpError::Io(err) => write!(f, "i/o error: {err}"),
             NrpError::Serialization(msg) => write!(f, "serialization error: {msg}"),
             NrpError::Cancelled => write!(f, "embedding run cancelled"),
-            NrpError::UnknownMethod(msg) => write!(f, "unknown method: {msg}"),
         }
     }
 }
@@ -155,8 +152,6 @@ mod tests {
     #[test]
     fn new_variants_display() {
         assert!(NrpError::Cancelled.to_string().contains("cancelled"));
-        let err = NrpError::UnknownMethod("GCN is not registered".into());
-        assert!(err.to_string().contains("GCN"));
-        assert!(std::error::Error::source(&err).is_none());
+        assert!(std::error::Error::source(&NrpError::Cancelled).is_none());
     }
 }

@@ -29,9 +29,9 @@
 //! The public API is organized around two pieces:
 //!
 //! * [`config::MethodConfig`] — every method described as serde-backed data
-//!   (`{"method": "NRP", ...}`), with paper defaults for missing fields, a
-//!   JSON/TOML round trip and a registry that resolves a config to a boxed
-//!   [`embedding::Embedder`] via [`config::MethodConfig::build`].
+//!   (`{"method": "NRP", ...}`), with paper defaults for missing fields and
+//!   a JSON/TOML round trip; `nrp_baselines::build` turns a config into a
+//!   boxed [`embedding::Embedder`].
 //! * [`context::EmbedContext`] / [`context::EmbedOutput`] — the v2 embedding
 //!   interface: runs accept a context (seed override, thread budget,
 //!   cancellation flag) and return the embedding together with per-stage
@@ -58,7 +58,7 @@ pub mod reweight;
 pub use nrp_linalg::parallel;
 
 pub use approx_ppr::{ApproxPpr, ApproxPprParams};
-pub use config::{flat_toml_to_value, register_method, registered_methods, MethodConfig};
+pub use config::{flat_toml_to_value, MethodConfig};
 pub use context::{EmbedContext, EmbedOutput, RunMetadata, StageClock, StageTiming};
 pub use embedding::{Embedder, Embedding};
 pub use error::{NrpError, PushParamError};

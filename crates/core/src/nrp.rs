@@ -76,6 +76,38 @@ impl NrpParams {
         }
     }
 
+    /// The parameters of an `NRP` [`MethodConfig`], unvalidated, or `None`
+    /// for any other method.  The only place the variant's fields are
+    /// copied into `NrpParams`.
+    pub fn from_config(config: &MethodConfig) -> Option<NrpParams> {
+        match config {
+            MethodConfig::Nrp {
+                dimension,
+                alpha,
+                num_hops,
+                reweight_epochs,
+                epsilon,
+                lambda,
+                svd_method,
+                exact_b1,
+                dangling,
+                seed,
+            } => Some(NrpParams {
+                dimension: *dimension,
+                alpha: *alpha,
+                num_hops: *num_hops,
+                reweight_epochs: *reweight_epochs,
+                epsilon: *epsilon,
+                lambda: *lambda,
+                svd_method: *svd_method,
+                exact_b1: *exact_b1,
+                dangling: *dangling,
+                seed: *seed,
+            }),
+            _ => None,
+        }
+    }
+
     /// Validates parameter ranges.
     pub fn validate(&self) -> Result<()> {
         if self.dimension < 2 {

@@ -1,15 +1,11 @@
-//! Quickstart: describe a method as data, build it through the registry,
-//! embed a small graph, and inspect scores and run metadata.
+//! Quickstart: describe a method as data, build it with `nrp::build`, embed
+//! a small graph, and inspect scores and run metadata.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use nrp::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 0. Register all eleven methods with the registry (NRP and ApproxPPR
-    //    are always available; this adds the nine baselines too).
-    nrp::init();
-
     // 1. Build a graph.  Here: the 9-node example of the paper's Fig. 1;
     //    for real use, load an edge list with `nrp::graph::io::read_edge_list`.
     let graph = generators::example::example_graph();
@@ -29,16 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("running: {}", config.to_json()?);
 
-    // 3. Build and run under an execution context.  The context can override
-    //    the seed, grant a thread budget, or carry a cancellation flag.  The
-    //    thread budget is purely a performance knob: every parallel stage
-    //    (SVD block matmuls, PPR propagations, STRAP pushes, walk
-    //    generation) is bitwise deterministic, so any budget produces the
-    //    exact same embedding.  A multi-thread context owns a persistent
-    //    worker pool, created on the first parallel stage and reused by
-    //    every subsequent stage and run — keep the context around (or clone
-    //    it) across embeddings so thread spawning is paid only once.
-    let embedder = config.build()?;
+    // 3. Build and run under an execution context.  `nrp::build` accepts any
+    //    of the eleven methods (NRP, ApproxPPR and the nine baselines).  The
+    //    context can override the seed, grant a thread budget, or carry a
+    //    cancellation flag.  The thread budget is purely a performance
+    //    knob: every parallel stage (SVD block matmuls, PPR propagations,
+    //    STRAP pushes, walk generation) is bitwise deterministic, so any
+    //    budget produces the exact same embedding.  A multi-thread context
+    //    owns a persistent worker pool, created on the first parallel stage
+    //    and reused by every subsequent stage and run — keep the context
+    //    around (or clone it) across embeddings so thread spawning is paid
+    //    only once.
+    let embedder = nrp::build(&config)?;
     let ctx = EmbedContext::new().with_threads(2);
     let output = embedder.embed(&graph, &ctx)?;
     assert!(ctx.worker_pool().is_some(), "pool created and retained");

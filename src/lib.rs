@@ -6,7 +6,8 @@
 //!
 //! The primary API is declarative: describe a method as a
 //! [`MethodConfig`](nrp_core::config::MethodConfig) (directly, or parsed from
-//! JSON/TOML), build it through the method registry, and run it under an
+//! JSON/TOML), turn it into an embedder with [`build`] — any of the eleven
+//! methods: NRP, ApproxPPR and the nine baselines — and run it under an
 //! [`EmbedContext`](nrp_core::context::EmbedContext) that controls seed,
 //! thread budget and cancellation.  See the
 //! [`quickstart`](../examples/quickstart.rs) example for a tour.
@@ -14,16 +15,13 @@
 //! ```
 //! use nrp::prelude::*;
 //!
-//! // Register all eleven methods (NRP, ApproxPPR and the nine baselines).
-//! nrp::init();
-//!
 //! // Build a tiny graph and embed it with a config that could equally have
 //! // come from a JSON or TOML experiment file. Unspecified fields take the
 //! // paper's defaults.
 //! let graph = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], GraphKind::Undirected).unwrap();
 //! let config: MethodConfig =
 //!     serde_json::from_str(r#"{"method": "NRP", "dimension": 8, "seed": 7}"#).unwrap();
-//! let embedder = config.build().unwrap();
+//! let embedder = nrp::build(&config).unwrap();
 //!
 //! let output = embedder.embed(&graph, &EmbedContext::new().with_threads(2)).unwrap();
 //! assert_eq!(output.embedding().num_nodes(), 5);
@@ -302,23 +300,17 @@ pub use nrp_linalg as linalg;
 pub use nrp_obs as obs;
 pub use nrp_serve as serve;
 
-/// Registers every embedding method of the workspace with the `nrp-core`
-/// method registry, so [`MethodConfig::build`](nrp_core::MethodConfig::build)
-/// can resolve all eleven method names.  Idempotent; call once at startup.
-pub fn init() {
-    nrp_baselines::register_baselines();
-}
+pub use nrp_baselines::build;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use nrp_baselines::register_baselines;
     pub use nrp_baselines::{
-        app::App, arope::Arope, deepwalk::DeepWalk, line::Line, node2vec::Node2Vec, randne::RandNe,
-        spectral::SpectralEmbedding, strap::Strap, verse::Verse,
+        app::App, arope::Arope, build, deepwalk::DeepWalk, line::Line, node2vec::Node2Vec,
+        randne::RandNe, spectral::SpectralEmbedding, strap::Strap, verse::Verse,
     };
     pub use nrp_core::{
         approx_ppr::{ApproxPpr, ApproxPprParams},
-        config::{register_method, registered_methods, MethodConfig},
+        config::MethodConfig,
         context::{EmbedContext, EmbedOutput, RunMetadata, StageClock, StageTiming},
         embedding::{Embedder, Embedding},
         error::NrpError,

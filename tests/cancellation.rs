@@ -24,12 +24,8 @@ fn small_graph() -> Graph {
 /// generous (30s vs a sub-millisecond expected latency) so the test cannot
 /// flake on slow CI hardware.
 fn assert_cancels_mid_epoch(json: &str) {
-    nrp::init();
     let graph = small_graph();
-    let embedder = MethodConfig::from_json(json)
-        .expect(json)
-        .build()
-        .expect(json);
+    let embedder = build(&MethodConfig::from_json(json).expect(json)).expect(json);
     let flag = Arc::new(AtomicBool::new(false));
     let ctx = EmbedContext::new().with_cancel_flag(Arc::clone(&flag));
     let raiser = {

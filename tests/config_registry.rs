@@ -1,5 +1,5 @@
 //! Integration tests of the declarative API: JSON/TOML-described methods are
-//! built through the registry, run under an `EmbedContext`, and their outputs
+//! built with `nrp::build`, run under an `EmbedContext`, and their outputs
 //! and metadata behave as documented — the contract a config-file-driven
 //! experiment harness relies on.
 
@@ -34,12 +34,11 @@ fn fast_configs() -> Vec<&'static str> {
 
 #[test]
 fn every_method_runs_from_a_json_document() {
-    nrp::init();
     let graph = small_graph();
     let mut names = Vec::new();
     for json in fast_configs() {
         let config: MethodConfig = serde_json::from_str(json).expect(json);
-        let embedder = config.build().expect(json);
+        let embedder = build(&config).expect(json);
         let output = embedder
             .embed(&graph, &EmbedContext::default())
             .expect(json);
@@ -62,11 +61,10 @@ fn every_method_runs_from_a_json_document() {
 
 #[test]
 fn fixed_seed_runs_are_deterministic_and_seed_override_wins() {
-    nrp::init();
     let graph = small_graph();
     let config = MethodConfig::from_json(r#"{"method": "NRP", "dimension": 8, "seed": 5}"#)
         .expect("valid config");
-    let embedder = config.build().expect("NRP builds");
+    let embedder = build(&config).expect("NRP builds");
 
     let a = embedder.embed_default(&graph).expect("run a");
     let b = embedder.embed_default(&graph).expect("run b");
@@ -91,10 +89,9 @@ fn fixed_seed_runs_are_deterministic_and_seed_override_wins() {
 #[test]
 fn thread_budget_does_not_change_results() {
     let graph = small_graph();
-    let embedder = MethodConfig::from_json(r#"{"method": "NRP", "dimension": 8, "seed": 11}"#)
-        .expect("valid config")
-        .build()
-        .expect("NRP builds");
+    let config = MethodConfig::from_json(r#"{"method": "NRP", "dimension": 8, "seed": 11}"#)
+        .expect("valid config");
+    let embedder = build(&config).expect("NRP builds");
     let single = embedder
         .embed(&graph, &EmbedContext::new().with_threads(1))
         .expect("1 thread");
@@ -110,20 +107,16 @@ fn pre_cancelled_context_aborts_the_run() {
     let graph = small_graph();
     let flag = Arc::new(AtomicBool::new(true));
     let ctx = EmbedContext::new().with_cancel_flag(Arc::clone(&flag));
-    let embedder = MethodConfig::default_for("NRP")
-        .expect("known")
-        .build()
-        .expect("builds");
+    let embedder = build(&MethodConfig::default_for("NRP").expect("known")).expect("builds");
     match embedder.embed(&graph, &ctx) {
         Err(NrpError::Cancelled) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
     // Lowering the flag lets the same context run to completion.
     flag.store(false, Ordering::Relaxed);
-    let embedder = MethodConfig::from_json(r#"{"method": "ApproxPPR", "dimension": 8}"#)
-        .expect("valid config")
-        .build()
-        .expect("builds");
+    let config = MethodConfig::from_json(r#"{"method": "ApproxPPR", "dimension": 8}"#)
+        .expect("valid config");
+    let embedder = build(&config).expect("builds");
     assert!(embedder.embed(&graph, &ctx).is_ok());
 }
 
@@ -140,11 +133,10 @@ fn json_and_toml_round_trips_agree() {
 
 #[test]
 fn embedding_save_load_round_trip() {
-    nrp::init();
     let graph = small_graph();
-    let embedding = MethodConfig::from_json(r#"{"method": "NRP", "dimension": 8, "seed": 2}"#)
-        .expect("valid config")
-        .build()
+    let config = MethodConfig::from_json(r#"{"method": "NRP", "dimension": 8, "seed": 2}"#)
+        .expect("valid config");
+    let embedding = build(&config)
         .expect("builds")
         .embed_default(&graph)
         .expect("embeds");
@@ -158,14 +150,5 @@ fn embedding_save_load_round_trip() {
         for v in 0..graph.num_nodes() as u32 {
             assert_eq!(restored.score(u, v), embedding.score(u, v));
         }
-    }
-}
-
-#[test]
-fn registry_lists_all_methods_after_init() {
-    nrp::init();
-    let registered = registered_methods();
-    for name in MethodConfig::method_names() {
-        assert!(registered.contains(name), "{name} missing from registry");
     }
 }

@@ -116,7 +116,10 @@ fn every_method_in_the_roster_beats_random_on_an_easy_graph() {
         seed: 5,
         ..Default::default()
     });
-    for method in nrp_baselines::all_baselines(16, 5) {
+    for mut config in MethodConfig::all_defaults() {
+        config.set_dimension(16);
+        config.set_seed(5);
+        let method = build(&config).unwrap_or_else(|e| panic!("{}: {e}", config.method_name()));
         let auc = task
             .evaluate(&graph, method.as_ref())
             .unwrap_or_else(|_| panic!("{}", method.name()))

@@ -43,15 +43,11 @@ fn parallel_method_configs() -> Vec<&'static str> {
 
 #[test]
 fn embeddings_are_bitwise_identical_across_thread_budgets() {
-    nrp::init();
     let threads = test_threads();
     for kind in [GraphKind::Undirected, GraphKind::Directed] {
         let graph = test_graph(kind, 17);
         for json in parallel_method_configs() {
-            let embedder = MethodConfig::from_json(json)
-                .expect(json)
-                .build()
-                .expect(json);
+            let embedder = build(&MethodConfig::from_json(json).expect(json)).expect(json);
             let single = embedder
                 .embed(&graph, &EmbedContext::new().with_threads(1))
                 .expect(json);
@@ -76,7 +72,6 @@ fn one_pool_reused_across_embeddings_and_methods() {
     // The pool's whole point: one set of threads across many runs.  Two
     // different methods and two repeat runs all share the context's pool,
     // and every result stays bitwise identical to the sequential reference.
-    nrp::init();
     let threads = test_threads();
     let graph = test_graph(GraphKind::Undirected, 37);
     let ctx = EmbedContext::new().with_threads(threads);
@@ -84,10 +79,7 @@ fn one_pool_reused_across_embeddings_and_methods() {
         r#"{"method": "ApproxPPR", "dimension": 16, "seed": 3}"#,
         r#"{"method": "STRAP", "dimension": 16, "delta": 0.001, "seed": 3}"#,
     ] {
-        let embedder = MethodConfig::from_json(json)
-            .expect(json)
-            .build()
-            .expect(json);
+        let embedder = build(&MethodConfig::from_json(json).expect(json)).expect(json);
         let reference = embedder
             .embed(&graph, &EmbedContext::new().with_threads(1))
             .expect(json);
@@ -104,10 +96,9 @@ fn one_pool_reused_across_embeddings_and_methods() {
     let other_ctx = EmbedContext::new()
         .with_threads(threads)
         .with_worker_pool(shared);
-    let embedder = MethodConfig::from_json(r#"{"method": "RandNE", "dimension": 16, "seed": 3}"#)
-        .expect("valid config")
-        .build()
-        .expect("RandNE builds");
+    let config = MethodConfig::from_json(r#"{"method": "RandNE", "dimension": 16, "seed": 3}"#)
+        .expect("valid config");
+    let embedder = build(&config).expect("RandNE builds");
     let pooled = embedder.embed(&graph, &other_ctx).expect("RandNE runs");
     let reference = embedder
         .embed(&graph, &EmbedContext::new().with_threads(1))
@@ -117,12 +108,10 @@ fn one_pool_reused_across_embeddings_and_methods() {
 
 #[test]
 fn stage_metadata_records_the_granted_thread_budget() {
-    nrp::init();
     let graph = test_graph(GraphKind::Undirected, 23);
-    let embedder = MethodConfig::from_json(r#"{"method": "STRAP", "dimension": 8, "seed": 1}"#)
-        .expect("valid config")
-        .build()
-        .expect("STRAP builds");
+    let config = MethodConfig::from_json(r#"{"method": "STRAP", "dimension": 8, "seed": 1}"#)
+        .expect("valid config");
+    let embedder = build(&config).expect("STRAP builds");
     let output = embedder
         .embed(&graph, &EmbedContext::new().with_threads(3))
         .expect("STRAP runs");
