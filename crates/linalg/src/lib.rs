@@ -31,16 +31,20 @@
 //!   and is bitwise identical for any thread budget.  Each kernel's one
 //!   threaded entry point takes an [`Exec`] policy: the calling thread alone,
 //!   or a persistent [`WorkerPool`] — same chunk grid, same results, spawn
-//!   cost paid once per pool.
+//!   cost paid once per pool.  The dense products run register-tiled
+//!   micro-kernels with a portable and an AVX2 copy of the same operation
+//!   sequence, so results are also identical with or without AVX2.
 
-// Unsafe is denied everywhere except the two documented blocks in
-// `parallel` (lifetime erasure for pool jobs, disjoint row-block writes),
-// which carry their own `allow` and safety arguments.
+// Unsafe is denied everywhere except the documented blocks in `parallel`
+// (lifetime erasure for pool jobs, disjoint row-block writes, the call into
+// the AVX2 copy of a dense kernel), which carry their own `allow` and safety
+// arguments.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod eig;
 pub mod error;
+mod kernels;
 pub mod matrix;
 pub mod operator;
 pub mod parallel;

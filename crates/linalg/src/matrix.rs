@@ -1,6 +1,6 @@
 //! Row-major dense matrices.
 
-use crate::{parallel, LinalgError, Result};
+use crate::{kernels, parallel, LinalgError, Result};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -219,8 +219,9 @@ impl DenseMatrix {
     ///
     /// Every output row is produced by one worker with a fixed i-k-j inner
     /// loop (streaming over `other`'s rows, cache friendly for row-major
-    /// data), so the result is bitwise identical for every thread budget and
-    /// execution policy.
+    /// data) held in an 8-wide register tile, so the result is bitwise
+    /// identical for every thread budget and execution policy, and with or
+    /// without AVX2.
     pub fn matmul_exec(&self, other: &DenseMatrix, exec: &parallel::Exec) -> Result<DenseMatrix> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -230,16 +231,7 @@ impl DenseMatrix {
             });
         }
         let data = parallel::par_fill_rows_exec(self.rows, other.cols, exec, |i, out_row| {
-            let a_row = self.row(i);
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b_kj;
-                }
-            }
+            kernels::row_add(out_row, self.row(i), &other.data);
         });
         DenseMatrix::from_vec(self.rows, other.cols, data)
     }
@@ -252,7 +244,9 @@ impl DenseMatrix {
     /// identical for every thread budget — including 1, which is why even the
     /// single-threaded path goes through the chunked grouping rather than
     /// falling back to [`DenseMatrix::transpose_matmul`] (whose row-by-row
-    /// grouping differs in the last ulp).
+    /// grouping differs in the last ulp).  Inside a chunk, 4×4 register
+    /// tiles accumulate each entry over the chunk's rows in ascending order,
+    /// with the same multiplies and adds on the portable and the AVX2 path.
     pub fn transpose_matmul_exec(
         &self,
         other: &DenseMatrix,
@@ -265,20 +259,51 @@ impl DenseMatrix {
                 right: other.shape(),
             });
         }
+        Ok(self.chunked_transpose_matmul(other, false, exec))
+    }
+
+    /// Gram matrix `selfᵀ * self` under an [`parallel::Exec`] policy.
+    ///
+    /// **Bitwise identical for every thread budget and with or without
+    /// AVX2**: see [`DenseMatrix::transpose_matmul_exec`], whose fixed chunk
+    /// grid and register-tiled chunk kernel it runs.
+    pub fn gram_exec(&self, exec: &parallel::Exec) -> DenseMatrix {
+        // Entries (i, j) and (j, i) sum bitwise-equal products in the same
+        // order, so only the upper triangle is accumulated, then mirrored.
+        let mut gram = self.chunked_transpose_matmul(self, true, exec);
+        let k = self.cols;
+        for i in 1..k {
+            for j in 0..i {
+                gram.data[i * k + j] = gram.data[j * k + i];
+            }
+        }
+        gram
+    }
+
+    /// `selfᵀ * other` (shapes already checked) summed over fixed
+    /// [`parallel::REDUCE_CHUNK`]-row chunks folded in order; with `upper`
+    /// (`other` is `self`), only the entries on and above the diagonal are
+    /// guaranteed.
+    fn chunked_transpose_matmul(
+        &self,
+        other: &DenseMatrix,
+        upper: bool,
+        exec: &parallel::Exec,
+    ) -> DenseMatrix {
         let partial = |range: std::ops::Range<usize>| -> DenseMatrix {
             let mut out = DenseMatrix::zeros(self.cols, other.cols);
-            for r in range {
-                let a_row = self.row(r);
-                let b_row = other.row(r);
-                for (i, &a_ri) in a_row.iter().enumerate() {
-                    if a_ri == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                    for (j, &b_rj) in b_row.iter().enumerate() {
-                        out_row[j] += a_ri * b_rj;
-                    }
-                }
+            if upper {
+                kernels::ata_upper(&self.data, self.cols, range, &mut out.data);
+            } else {
+                kernels::atb(
+                    &self.data,
+                    self.cols,
+                    self.cols,
+                    &other.data,
+                    other.cols,
+                    range,
+                    &mut out.data,
+                );
             }
             out
         };
@@ -292,14 +317,7 @@ impl DenseMatrix {
                 a
             },
         );
-        Ok(folded.unwrap_or_else(|| DenseMatrix::zeros(self.cols, other.cols)))
-    }
-
-    /// Gram matrix `selfᵀ * self` under an [`parallel::Exec`] policy (see
-    /// [`DenseMatrix::transpose_matmul_exec`] for the determinism contract).
-    pub fn gram_exec(&self, exec: &parallel::Exec) -> DenseMatrix {
-        self.transpose_matmul_exec(self, exec)
-            .expect("gram shapes always agree")
+        folded.unwrap_or_else(|| DenseMatrix::zeros(self.cols, other.cols))
     }
 
     /// Element-wise scaling in place.

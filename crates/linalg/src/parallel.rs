@@ -4,7 +4,8 @@
 //! STRAP's per-source forward pushes, random-walk generation — parallelizes
 //! through the helpers in this module, and they all share one contract:
 //!
-//! > **The result is bitwise identical for every thread budget, including 1.**
+//! > **The result is bitwise identical for every thread budget, including 1,
+//! > and with or without AVX2** (see the dense-kernel dispatch below).
 //!
 //! Three rules make that true:
 //!
@@ -17,9 +18,8 @@
 //! 3. Chunk results are merged (concatenated or folded) in ascending chunk
 //!    order on the calling thread.
 //!
-//! Workers pull chunk indices from an atomic counter, which gives dynamic
-//! load balancing (important for skewed workloads such as per-source PPR
-//! pushes) without sacrificing rule 2/3.
+//! Workers pull chunk indices from an atomic counter: dynamic load balancing
+//! (for skewed work such as per-source PPR pushes) that keeps rules 2 and 3.
 //!
 //! ## Execution policy: sequential or the persistent [`WorkerPool`]
 //!
@@ -39,11 +39,11 @@
 //! merge do not depend on the policy, **pooled and sequential execution
 //! produce bitwise identical results** — the pool only moves the wall clock.
 
-// The pool hands lifetime-erased job pointers to long-lived workers and the
-// fill-rows kernel writes disjoint row blocks of one buffer through a shared
-// pointer.  Both are narrowly scoped `unsafe` with documented invariants
-// (dispatch blocks until every worker finished; chunk indices are handed out
-// uniquely by an atomic counter); everything else in this crate is safe code.
+// Pool jobs hand lifetime-erased pointers to long-lived workers, fill-rows
+// writes disjoint row blocks through a shared pointer, and kernel dispatch
+// calls AVX2 code once the CPU is known to have it.  Each `unsafe` is narrow
+// and documented (dispatch waits for every worker; chunk indices are unique;
+// AVX2 is detected first); everything else in this crate is safe code.
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
@@ -644,6 +644,73 @@ where
         }
     });
     data
+}
+
+// ---------------------------------------------------------------------------
+// Instruction-set dispatch for the dense micro-kernels
+// ---------------------------------------------------------------------------
+//
+// The dense micro-kernels under `matmul_exec`, `gram_exec` and
+// `orthonormalize_exec` run one `#[inline(always)]` body either as compiled
+// for the baseline target or as compiled a second time with AVX2 enabled,
+// picked once per process by CPU detection.  Both copies perform the same
+// IEEE multiplies and adds in the same order (FMA is never enabled —
+// nrp-lint rule D004), so the module's contract holds in full: bitwise
+// identical for every thread budget *and* with or without AVX2.
+
+/// A dense micro-kernel call (see `crate::kernels`): safe code whose `run`
+/// is `#[inline(always)]`, so [`run_kernel`] can compile it a second time
+/// with AVX2 enabled.
+pub(crate) trait Kernel {
+    /// Performs the call.
+    fn run(self);
+}
+
+/// True when the CPU supports AVX2.  Detected once per process.
+pub(crate) fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX2: OnceLock<bool> = OnceLock::new();
+        *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Runs `kernel`, through its AVX2 copy when the CPU has AVX2.
+///
+/// Both copies perform the same IEEE operations in the same order — AVX2
+/// only widens the vectors, and fused multiply-add is never enabled — so
+/// the choice never changes a bit.
+#[inline]
+pub(crate) fn run_kernel<K: Kernel>(kernel: K) {
+    run_kernel_on(kernel, true);
+}
+
+/// [`run_kernel`], with the AVX2 copy allowed only when `use_avx2` is set
+/// (the portable copy otherwise), so tests can pin either path.
+#[inline]
+pub(crate) fn run_kernel_on<K: Kernel>(kernel: K, use_avx2: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2 && avx2_detected() {
+        // SAFETY: `run_avx2`'s only precondition is that the CPU supports
+        // AVX2, which `avx2_detected` has just confirmed at run time.  The
+        // kernel itself is safe code.
+        unsafe { run_avx2(kernel) };
+        return;
+    }
+    let _ = use_avx2;
+    kernel.run();
+}
+
+/// `kernel.run()` compiled with AVX2 (and without FMA, which would fuse
+/// the kernels' separate multiplies and adds and change their bits).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: Kernel>(kernel: K) {
+    kernel.run();
 }
 
 #[cfg(test)]

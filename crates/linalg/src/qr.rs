@@ -14,7 +14,7 @@
 //!   bitwise identical for every thread budget.
 
 use crate::matrix::{dot, norm2};
-use crate::{parallel, DenseMatrix, LinalgError, Result};
+use crate::{kernels, parallel, DenseMatrix, LinalgError, Result};
 
 /// Result of a thin QR factorization `A = Q R` with `Q` having orthonormal
 /// columns.
@@ -105,15 +105,19 @@ const PANEL: usize = 32;
 ///
 /// Every floating-point grouping is fixed by the problem shape alone, so the
 /// result is **bitwise identical for every thread budget and execution
-/// policy** — the property the randomized SVD's thread-invariance contract
-/// relies on:
+/// policy, and with or without AVX2** — the property the randomized SVD's
+/// thread-invariance contract relies on:
 ///
 /// * `C = QᵀP` is a sum over fixed [`parallel::REDUCE_CHUNK`]-row chunks,
 ///   each accumulated in row order by one worker and folded in chunk order;
 /// * `P ← P − QC` is independent per row, each row accumulating over `Q`'s
 ///   columns in ascending order;
-/// * inside a panel, each projection coefficient is one whole-column dot
-///   product and the update is independent per row, as above.
+/// * both products run register-tiled kernels whose portable and AVX2
+///   copies perform the same multiplies and subtractions in the same order
+///   (never fused);
+/// * inside a panel, CGS2 runs on the calling thread: each projection
+///   coefficient is one whole-column dot product, and each element of the
+///   update accumulates over the earlier columns in ascending order.
 ///
 /// The result differs in the last ulps from the modified-Gram–Schmidt
 /// [`orthonormalize`], which is why the two are separate entry points:
@@ -134,21 +138,29 @@ pub fn orthonormalize_exec(a: &DenseMatrix, exec: &parallel::Exec) -> Result<Den
     let mut kept = 0;
     for start in (0..n).step_by(PANEL) {
         let width = PANEL.min(n - start);
-        let mut panel: Vec<f64> = (0..m)
-            .flat_map(|r| a.row(r)[start..start + width].iter().copied())
-            .collect();
+        let mut panel = Vec::with_capacity(m * width);
+        for r in 0..m {
+            panel.extend_from_slice(&a.row(r)[start..start + width]);
+        }
         if kept > 0 {
             for _pass in 0..2 {
                 panel = project_out(&q, n, kept, &panel, width, exec);
             }
         }
-        let cols = (0..width).map(|t| (0..m).map(|r| panel[r * width + t]).collect());
-        for col in cgs2_columns(cols, tol, exec) {
-            for (r, &val) in col.iter().enumerate() {
-                q[r * n + kept] = val;
+        // Panel rows → columns → kept basis columns, moved row by row.
+        let mut cols = vec![vec![0.0; m]; width];
+        for (r, row) in panel.chunks_exact(width).enumerate() {
+            for (col, &val) in cols.iter_mut().zip(row) {
+                col[r] = val;
             }
-            kept += 1;
         }
+        let new_cols = cgs2_columns(cols, tol);
+        for (r, q_row) in q.chunks_exact_mut(n).enumerate() {
+            for (slot, col) in q_row[kept..].iter_mut().zip(&new_cols) {
+                *slot = col[r];
+            }
+        }
+        kept += new_cols.len();
     }
     if kept < n {
         for r in 1..m {
@@ -170,19 +182,10 @@ fn project_out(
     exec: &parallel::Exec,
 ) -> Vec<f64> {
     let m = panel.len() / width;
-    let basis_row = |r: usize| &q[r * stride..r * stride + kept];
-    let panel_row = |r: usize| &panel[r * width..(r + 1) * width];
     // C = QᵀP (kept × width), a sum of per-row outer products.
     let partial = |rows: std::ops::Range<usize>| {
         let mut c = vec![0.0; kept * width];
-        for r in rows {
-            let p = panel_row(r);
-            for (c_i, &q_ri) in c.chunks_exact_mut(width).zip(basis_row(r)) {
-                for (c_ij, &p_j) in c_i.iter_mut().zip(p) {
-                    *c_ij += q_ri * p_j;
-                }
-            }
-        }
+        kernels::atb(q, stride, kept, panel, width, rows, &mut c);
         c
     };
     let c = parallel::par_reduce_exec(m, parallel::REDUCE_CHUNK, exec, partial, |mut acc, c| {
@@ -194,60 +197,27 @@ fn project_out(
     .unwrap_or_default();
     // P − QC, row by row.
     parallel::par_fill_rows_exec(m, width, exec, |r, out| {
-        out.copy_from_slice(panel_row(r));
-        for (c_i, &q_ri) in c.chunks_exact(width).zip(basis_row(r)) {
-            for (o, &c_ij) in out.iter_mut().zip(c_i) {
-                *o -= q_ri * c_ij;
-            }
-        }
+        out.copy_from_slice(&panel[r * width..(r + 1) * width]);
+        kernels::row_sub(out, &q[r * stride..r * stride + kept], &c);
     })
 }
 
-/// Column-by-column CGS2 of `cols` among themselves: returns the normalized
-/// columns that keep a projected norm above `tol`, in input order.
-fn cgs2_columns(
-    cols: impl Iterator<Item = Vec<f64>>,
-    tol: f64,
-    exec: &parallel::Exec,
-) -> Vec<Vec<f64>> {
-    let mut q_cols: Vec<Vec<f64>> = Vec::new();
+/// Column-by-column CGS2 of `cols` among themselves, on the calling thread:
+/// returns the normalized columns that keep a projected norm above `tol`,
+/// in input order.
+fn cgs2_columns(cols: Vec<Vec<f64>>, tol: f64) -> Vec<Vec<f64>> {
+    let mut q_cols: Vec<Vec<f64>> = Vec::with_capacity(cols.len());
+    let mut coeffs = vec![0.0; cols.len()];
     for mut v in cols {
-        let m = v.len();
         for _pass in 0..2 {
             if q_cols.is_empty() {
                 break;
             }
-            // coeffs[i] = q_i · v — each dot is computed whole by one worker,
-            // so the chunking over columns cannot affect any value.
-            let coeffs: Vec<f64> = if !exec.is_parallel() {
-                q_cols.iter().map(|qi| dot(qi, &v)).collect()
-            } else {
-                parallel::par_chunk_map_exec(q_cols.len(), 8, exec, |range| {
-                    range.map(|i| dot(&q_cols[i], &v)).collect::<Vec<f64>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            };
-            // v ← v − Σᵢ coeffs[i] · qᵢ.  Each element accumulates over i in
-            // ascending order, so the allocation-free column-streaming
-            // sequential path and the row-parallel path perform the exact
-            // same per-element operation chain — bitwise identical.
-            if !exec.is_parallel() {
-                for (qi, &c) in q_cols.iter().zip(&coeffs) {
-                    for (vk, qk) in v.iter_mut().zip(qi) {
-                        *vk -= c * qk;
-                    }
-                }
-            } else {
-                v = parallel::par_fill_rows_exec(m, 1, exec, |row, out| {
-                    let mut acc = v[row];
-                    for (qi, &c) in q_cols.iter().zip(&coeffs) {
-                        acc -= c * qi[row];
-                    }
-                    out[0] = acc;
-                });
-            }
+            // coeffs[i] = q_i · v, then v ← v − Σᵢ coeffs[i] · qᵢ with every
+            // element accumulating over i in ascending order.
+            let coeffs = &mut coeffs[..q_cols.len()];
+            kernels::dots(&q_cols, &v, coeffs);
+            kernels::sub_combination(&mut v, coeffs, &q_cols);
         }
         let norm = norm2(&v);
         if norm > tol {

@@ -221,15 +221,38 @@ impl RandomizedSvd {
     }
 
     /// Block Krylov range basis: `orth([A Ω, (A Aᵀ) A Ω, …, (A Aᵀ)^q A Ω])`.
+    ///
+    /// The blocks are written side by side into one buffer sized for
+    /// `q + 1` full-width blocks; if orthonormalization dropped columns the
+    /// filled part is compacted, so the matrix handed to the final
+    /// orthonormalization is exactly the horizontal concatenation of the
+    /// blocks.
     fn krylov_basis<O: LinearOperator>(&self, op: &O, sketch: usize) -> Result<DenseMatrix> {
         let e = &self.exec;
         let omega = gaussian_matrix(op.ncols(), sketch, self.seed.wrapping_add(1));
         let mut block = orthonormalize_exec(&op.apply_exec(&omega, e)?, e)?;
-        let mut krylov = block.clone();
-        for _ in 0..self.iterations {
-            let z = op.apply_transpose_exec(&block, e)?;
-            block = orthonormalize_exec(&op.apply_exec(&z, e)?, e)?;
-            krylov = krylov.hstack(&block)?;
+        let mut krylov = DenseMatrix::zeros(op.nrows(), (self.iterations + 1) * sketch);
+        let mut filled = 0;
+        for iteration in 0..=self.iterations {
+            if iteration > 0 {
+                let z = op.apply_transpose_exec(&block, e)?;
+                block = orthonormalize_exec(&op.apply_exec(&z, e)?, e)?;
+            }
+            let width = block.cols();
+            if block.rows() != krylov.rows() || filled + width > krylov.cols() {
+                return Err(LinalgError::ShapeMismatch {
+                    operation: "krylov block".into(),
+                    left: krylov.shape(),
+                    right: block.shape(),
+                });
+            }
+            for r in 0..block.rows() {
+                krylov.row_mut(r)[filled..filled + width].copy_from_slice(block.row(r));
+            }
+            filled += width;
+        }
+        if filled < krylov.cols() {
+            krylov = krylov.truncate_cols(filled);
         }
         orthonormalize_exec(&krylov, e)
     }

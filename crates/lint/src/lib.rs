@@ -13,6 +13,7 @@
 //! | D002 | no `Instant::now`/`SystemTime` in kernel crates (`linalg`, `core`, `graph`) |
 //! | O001 | no `Instant::now`/`SystemTime` outside the clock-owning crate (`nrp-obs`) — non-kernel code routes timing through `nrp_obs::clock` |
 //! | D003 | no unseeded RNG construction (`thread_rng`, `from_entropy`, `OsRng`, `rand::random`) |
+//! | D004 | no fused multiply-add in `linalg` (`mul_add`, FMA `std::arch` intrinsics, `target_feature` enabling `fma`) |
 //! | U001 | every `unsafe` is immediately preceded by a `// SAFETY:` comment |
 //! | U002 | `unsafe` is denied outside the allowlisted modules (today: `linalg::parallel`) |
 //! | P001 | no `.unwrap()`/`.expect()` in `nrp-serve` request-path modules |
@@ -137,6 +138,10 @@ pub struct Config {
     /// Path prefixes of the kernel crates where wall-clock reads are
     /// banned (D002).
     pub kernel_prefixes: Vec<String>,
+    /// Path prefixes where fused multiply-add is banned (D004): the dense
+    /// kernels there promise the same bits with or without AVX2, which a
+    /// fused `a·b + c` (one rounding instead of two) would break.
+    pub fma_free: Vec<String>,
     /// Kernel-crate files exempt from D002 (designated timing modules).
     /// Empty today: since `StageClock` moved into `nrp-obs`, no kernel
     /// file reads the wall clock at all — exemptions would carry per-site
@@ -174,6 +179,7 @@ impl Default for Config {
                 "crates/core/src/".into(),
                 "crates/graph/src/".into(),
             ],
+            fma_free: vec!["crates/linalg/".into()],
             timing_allowed: vec![],
             clock_owner: vec!["crates/obs/src/".into()],
             request_path: vec![

@@ -71,6 +71,7 @@ pub fn analyze(relpath: &str, source: &str, cfg: &Config) -> FileReport {
 
     rule_d001(relpath, &toks, &in_test, &mut findings);
     rule_d002_d003(relpath, &toks, &in_test, cfg, &mut findings);
+    rule_d004(relpath, &toks, &in_test, cfg, &mut findings);
     rule_u(
         relpath,
         &toks,
@@ -480,6 +481,72 @@ fn rule_d002_d003(
                 ),
             ));
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule D004 — fused multiply-add in the FMA-free crates
+// ---------------------------------------------------------------------------
+
+/// True for a `std::arch` fused multiply-add intrinsic: x86's
+/// `_mm*_f[n]madd*`/`_mm*_f[n]msub*` families and AArch64's `vfma*`/`vfms*`.
+fn is_fma_intrinsic(name: &str) -> bool {
+    (name.starts_with("_mm")
+        && ["_fmadd", "_fmsub", "_fnmadd", "_fnmsub"]
+            .iter()
+            .any(|f| name.contains(f)))
+        || name.starts_with("vfma")
+        || name.starts_with("vfms")
+}
+
+/// True for a string literal that is the value of `enable = "…"` and names
+/// the `fma` target feature.
+fn enables_fma(toks: &[Token], i: usize) -> bool {
+    let tok = &toks[i];
+    tok.kind == TokKind::Literal
+        && tok.text.starts_with('"')
+        && prev_sig(toks, i).is_some_and(|eq| {
+            toks[eq].is_punct('=') && prev_sig(toks, eq).is_some_and(|e| toks[e].is_ident("enable"))
+        })
+        && tok
+            .text
+            .trim_matches('"')
+            .split(',')
+            .any(|feature| feature.trim() == "fma")
+}
+
+fn rule_d004(
+    relpath: &str,
+    toks: &[Token],
+    in_test: &dyn Fn(usize) -> bool,
+    cfg: &Config,
+    findings: &mut Vec<Finding>,
+) {
+    if !cfg.fma_free.iter().any(|p| relpath.starts_with(p.as_str())) {
+        return;
+    }
+    for (i, tok) in toks.iter().enumerate() {
+        if in_test(i) {
+            continue;
+        }
+        let what = if tok.is_ident("mul_add") {
+            "`mul_add`"
+        } else if tok.kind == TokKind::Ident && is_fma_intrinsic(&tok.text) {
+            "an FMA intrinsic"
+        } else if enables_fma(toks, i) {
+            "enabling the `fma` target feature"
+        } else {
+            continue;
+        };
+        findings.push(Finding::new(
+            relpath,
+            tok.line,
+            "D004",
+            format!(
+                "{what} fuses a multiply and an add into one rounding, so results would \
+                 depend on the instruction set — keep `a * b + c` as two operations"
+            ),
+        ));
     }
 }
 

@@ -113,6 +113,29 @@ fn d003_catches_unseeded_rng_construction() {
 }
 
 #[test]
+fn d004_bans_fused_multiply_add_in_linalg_only() {
+    let source = fixture("d004_fma.rs");
+    let cfg = Config::default();
+    let in_linalg = lint_source("crates/linalg/src/kernels.rs", &source, &cfg);
+    assert_eq!(
+        line_rules(&in_linalg.findings),
+        vec![
+            (4, "D004"),  // a.mul_add(..)
+            (5, "D004"),  // f64::mul_add(..)
+            (9, "D004"),  // enable = "avx2,fma"
+            (11, "D004"), // _mm256_fmadd_pd
+            (12, "D004"), // _mm_fnmsub_sd
+            (16, "D004"), // vfmaq_f64
+        ],
+        "{:#?}",
+        in_linalg.findings
+    );
+    // Outside the FMA-free crates the same code is not D004's business.
+    let outside = lint_source("crates/core/src/fma.rs", &source, &cfg);
+    assert!(outside.findings.is_empty(), "{:#?}", outside.findings);
+}
+
+#[test]
 fn u001_wants_safety_comments_even_where_unsafe_is_allowed() {
     // Virtual path = the allowlisted module, so U002 stays quiet and the
     // only findings are the two undocumented sites.

@@ -36,9 +36,10 @@
 //! block-Krylov SVD (block matmuls, Krylov basis construction, projection),
 //! the PPR propagations of ApproxPPR/NRP/RandNE, STRAP's per-source forward
 //! pushes, and DeepWalk/node2vec walk generation.  The contract is strict:
-//! **the embedding is bitwise identical for every budget, including 1** —
-//! threads only move the wall clock.  Three mechanisms deliver this (all
-//! built on [`nrp_core::parallel`], re-exported from `nrp-linalg`):
+//! **the embedding is bitwise identical for every budget, including 1, and
+//! with or without AVX2** — threads and vector width only move the wall
+//! clock.  Four mechanisms deliver this (the first three built on
+//! [`nrp_core::parallel`], re-exported from `nrp-linalg`):
 //!
 //! * work is split into chunks whose boundaries depend only on the problem
 //!   size, merged in ascending chunk order, so floating-point sums are always
@@ -47,15 +48,21 @@
 //!   inner iteration order;
 //! * random-walk generation uses **per-node RNG streams**
 //!   (`ChaCha8 seeded with seed ⊕ node_id`), so a walk's randomness depends
-//!   only on the seed and its start node, never on scheduling.
+//!   only on the seed and its start node, never on scheduling;
+//! * the register-tiled dense kernels behind `matmul_exec`, `gram_exec` and
+//!   `orthonormalize_exec` run a portable and an AVX2 copy of one body that
+//!   performs the same IEEE multiplies and adds in the same order, and never
+//!   fuse them into an FMA (nrp-lint rule D004), so the instruction set
+//!   cannot change a bit either.
 //!
 //! [`RunMetadata`](nrp_core::context::RunMetadata) records the thread count
 //! of each stage alongside its wall-clock time.
 //!
 //! These contracts are machine-enforced: the `nrp-lint` pass
-//! (`cargo run -p nrp-lint -- --workspace --deny`, rules D001–D003 and
-//! A001/A002) rejects nondeterministic hash iteration, unseeded RNGs and
-//! Exec kernels missing from the thread-invariance roster — see the
+//! (`cargo run -p nrp-lint -- --workspace --deny`, rules D001–D004 and
+//! A001/A002) rejects nondeterministic hash iteration, unseeded RNGs, fused
+//! multiply-add in `nrp-linalg` and Exec kernels missing from the
+//! thread-invariance roster — see the
 //! "Project lints" section of `CONTRIBUTING.md`.
 //!
 //! ## Performance

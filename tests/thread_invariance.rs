@@ -176,23 +176,29 @@ fn every_exec_kernel_is_bitwise_thread_invariant() {
     let par = par_fill_rows_exec(40, 7, &parallel, fill);
     assert_eq!(seq, par, "par_fill_rows_exec");
 
-    // Dense kernels: matmul_exec / transpose_matmul_exec / gram_exec.
-    let a = nrp::linalg::random::gaussian_matrix(33, 12, 7);
-    let b = nrp::linalg::random::gaussian_matrix(12, 9, 8);
+    // Dense kernels: matmul_exec / transpose_matmul_exec / gram_exec.  The
+    // row count spans three reduction chunks and many row chunks, so the
+    // pooled path really splits, and no width is a multiple of the 4- or
+    // 8-wide register tiles, so every tile remainder runs too.
+    let bits =
+        |m: &nrp::linalg::DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let rows = 2 * nrp::linalg::parallel::REDUCE_CHUNK + 77;
+    let a = nrp::linalg::random::gaussian_matrix(rows, 13, 7);
+    let b = nrp::linalg::random::gaussian_matrix(13, 11, 8);
     let seq = a.matmul_exec(&b, &sequential).expect("shapes agree");
     let par = a.matmul_exec(&b, &parallel).expect("shapes agree");
-    assert_eq!(seq.data(), par.data(), "matmul_exec");
-    let c = nrp::linalg::random::gaussian_matrix(33, 9, 9);
+    assert_eq!(bits(&seq), bits(&par), "matmul_exec");
+    let c = nrp::linalg::random::gaussian_matrix(rows, 9, 9);
     let seq = a
         .transpose_matmul_exec(&c, &sequential)
         .expect("shapes agree");
     let par = a
         .transpose_matmul_exec(&c, &parallel)
         .expect("shapes agree");
-    assert_eq!(seq.data(), par.data(), "transpose_matmul_exec");
+    assert_eq!(bits(&seq), bits(&par), "transpose_matmul_exec");
     assert_eq!(
-        a.gram_exec(&sequential).data(),
-        a.gram_exec(&parallel).data(),
+        bits(&a.gram_exec(&sequential)),
+        bits(&a.gram_exec(&parallel)),
         "gram_exec"
     );
 
