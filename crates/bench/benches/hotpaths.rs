@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks of the three performance-substrate hot paths:
+//! Criterion micro-benchmarks of two performance-substrate hot paths:
 //!
 //! * **pooled vs. sequential dispatch** — many tiny chunk maps, the shape of
 //!   an embedding's kernel stream (propagation hops × Krylov iterations ×
@@ -7,26 +7,62 @@
 //! * **push workspace reuse** — per-source forward push with a reused
 //!   [`PushWorkspace`] (epoch-stamped sparse reset, zero allocation) vs. a
 //!   fresh workspace per source (three `O(n)` allocations each).
-//! * **CSR assembly** — `from_triplets` counting sort (`O(nnz)`) vs. the
-//!   comparison-sort reference (`O(nnz log nnz)`).
-//!
-//! `cargo run -p nrp-bench --bin bench_hotpaths` runs the same measurements
-//! headlessly and emits `BENCH_hotpaths.json` for the perf trajectory.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use nrp_bench::hotpaths::{assembly_triplets, kernel_stream, push_sweep};
-use nrp_core::parallel::{Exec, WorkerPool};
-use nrp_core::push::PushWorkspace;
+use nrp_core::parallel::{self, Exec, WorkerPool};
+use nrp_core::push::{forward_push_into, PushWorkspace};
+use nrp_core::DanglingPolicy;
 use nrp_graph::generators::erdos_renyi_nm;
-use nrp_graph::{Graph, GraphKind};
-use nrp_linalg::SparseMatrix;
+use nrp_graph::{Graph, GraphKind, NodeId};
 
 fn graph(nodes: usize, edges: usize) -> Graph {
     erdos_renyi_nm(nodes, edges, GraphKind::Directed, 7).expect("valid ER parameters")
+}
+
+/// One micro-stage stream: `calls` chunk maps over `n` items with a small
+/// amount of real work per chunk — dispatch overhead dominates, which is
+/// exactly what the persistent pool amortizes.
+fn kernel_stream(exec: &Exec, calls: usize, n: usize) -> f64 {
+    let mut acc = 0.0;
+    for round in 0..calls {
+        let partials = parallel::par_chunk_map_exec(n, 64, exec, |range| {
+            range.map(|i| ((i * 31 + round) % 97) as f64).sum::<f64>()
+        });
+        acc += partials.into_iter().sum::<f64>();
+    }
+    acc
+}
+
+/// Forward pushes from the first `sources` nodes, either reusing the given
+/// workspace (the zero-allocation hot path) or allocating a fresh one per
+/// source.  Returns the total push count.
+fn push_sweep(graph: &Graph, sources: u32, mut reuse: Option<&mut PushWorkspace>) -> usize {
+    let mut total = 0usize;
+    for source in 0..sources {
+        let mut fresh;
+        let ws = match reuse.as_deref_mut() {
+            Some(ws) => ws,
+            None => {
+                fresh = PushWorkspace::new();
+                &mut fresh
+            }
+        };
+        total += forward_push_into(
+            graph,
+            source as NodeId,
+            0.15,
+            1e-4,
+            DanglingPolicy::SelfLoop,
+            ws,
+        )
+        .expect("push succeeds")
+        .num_pushes;
+    }
+    total
 }
 
 fn bench_pool_vs_sequential(c: &mut Criterion) {
@@ -66,34 +102,5 @@ fn bench_push_workspace(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_csr_assembly(c: &mut Criterion) {
-    let mut group = c.benchmark_group("csr_assembly");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(3));
-    let rows = 20_000;
-    let cols = 20_000;
-    let triplets = assembly_triplets(500_000, rows, cols);
-    group.bench_function("counting_sort", |b| {
-        b.iter(|| {
-            black_box(SparseMatrix::from_triplets(rows, cols, &triplets).expect("valid triplets"))
-        });
-    });
-    group.bench_function("comparison_sort", |b| {
-        b.iter(|| {
-            black_box(
-                SparseMatrix::from_triplets_comparison(rows, cols, &triplets)
-                    .expect("valid triplets"),
-            )
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_pool_vs_sequential,
-    bench_push_workspace,
-    bench_csr_assembly
-);
+criterion_group!(benches, bench_pool_vs_sequential, bench_push_workspace);
 criterion_main!(benches);

@@ -4,9 +4,7 @@
 //! evaluation (Section 5 and Appendix C) on the synthetic dataset suite.
 //!
 //! Each `src/bin/*.rs` binary corresponds to one table or figure and prints a
-//! CSV-style table with the same rows/series the paper plots; see
-//! `EXPERIMENTS.md` at the repository root for the full index and for the
-//! paper-vs-measured comparison.
+//! CSV-style table with the same rows/series the paper plots.
 //!
 //! Binaries accept `--scale tiny|small|medium|large` (default `small`) so CI
 //! can run quickly while users can push towards the paper's regimes,
@@ -21,10 +19,8 @@
 #![warn(missing_docs)]
 
 pub mod datasets;
-pub mod hotpaths;
 pub mod methods;
 pub mod report;
-pub mod serveload;
 pub mod sweep;
 
 pub use datasets::{BenchDataset, Scale};

@@ -26,8 +26,7 @@ impl SparseMatrix {
     /// `O(nnz + rows + cols)` time, no comparison sort.  Because both passes
     /// are stable, entries with equal coordinates keep their input order, so
     /// the floating-point accumulation of duplicates is bitwise identical to
-    /// the historical comparison-sort assembly
-    /// ([`SparseMatrix::from_triplets_comparison`]).
+    /// a comparison-sort assembly (the unit tests' reference).
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -108,11 +107,11 @@ impl SparseMatrix {
         })
     }
 
-    /// Reference assembly by stable comparison sort, kept as the baseline the
-    /// hot-path benchmarks (and equivalence tests) compare
-    /// [`SparseMatrix::from_triplets`] against.  Identical output, `O(nnz log
-    /// nnz)` time.
-    pub fn from_triplets_comparison(
+    /// Reference assembly by stable comparison sort, the oracle the unit
+    /// tests compare [`SparseMatrix::from_triplets`] against.  Identical
+    /// output, `O(nnz log nnz)` time.
+    #[cfg(test)]
+    fn from_triplets_comparison(
         rows: usize,
         cols: usize,
         triplets: &[(usize, usize, f64)],

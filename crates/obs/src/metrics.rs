@@ -525,11 +525,6 @@ impl MetricsHandle {
         Self::from_registry(MetricsRegistry::global())
     }
 
-    /// True if updates through this handle are recorded anywhere.
-    pub fn is_enabled(&self) -> bool {
-        self.registry.is_some()
-    }
-
     /// The backing registry, if enabled.
     pub fn registry(&self) -> Option<&Arc<MetricsRegistry>> {
         self.registry.as_ref()
@@ -910,7 +905,7 @@ mod tests {
         hist.observe(42);
         assert_eq!(hist.snapshot().count(), 0);
         let handle = MetricsHandle::noop();
-        assert!(!handle.is_enabled());
+        assert!(handle.registry().is_none());
         assert_eq!(handle.counter("x", "y").value(), 0);
         assert!(handle.snapshot().families.is_empty());
     }

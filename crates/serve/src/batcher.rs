@@ -170,12 +170,12 @@ struct BatchCounters {
     expired: AtomicU64,
     panics: AtomicU64,
     /// Jobs admitted but not yet drained into a batch (mirrors the
-    /// `nrp_batch_queue_depth` gauge so `/stats` works with metrics off).
+    /// `nrp_batch_queue_depth` gauge, which a no-op handle leaves inert).
     depth: AtomicU64,
 }
 
-/// The batcher's obs instruments; every handle is a no-op when metrics are
-/// disabled, so the hot path pays one null check per update.
+/// The batcher's obs instruments; every handle is a no-op when the context
+/// carries a no-op metrics handle, so an update costs one null check.
 #[derive(Clone, Default)]
 struct BatcherMetrics {
     queue_depth: Gauge,

@@ -54,11 +54,6 @@ pub struct ServeConfig {
     /// Quiet time after which the server recovers one degradation level,
     /// milliseconds.
     pub degrade_recover_ms: u64,
-    /// Whether the telemetry registry is wired into the hot path.  `false`
-    /// hands every subsystem a no-op [`nrp_obs::MetricsHandle`]: `/metrics`
-    /// still answers (with only the derived counter families) and the
-    /// overhead of instrument updates drops to a null-pointer check.
-    pub metrics_enabled: bool,
     /// Ring-buffer capacity of the per-request trace log served at
     /// `GET /debug/traces` (0 disables trace retention; `/ppr` responses
     /// can still opt into an inline trace via the `x-trace: 1` header).
@@ -87,7 +82,6 @@ impl Default for ServeConfig {
             degrade_threshold: 32,
             degrade_window_ms: 1_000,
             degrade_recover_ms: 2_000,
-            metrics_enabled: true,
             trace_capacity: 256,
         }
     }
@@ -128,7 +122,6 @@ impl ServeConfig {
             "degrade_threshold",
             "degrade_window_ms",
             "degrade_recover_ms",
-            "metrics_enabled",
             "trace_capacity",
         ];
         for (key, _) in object.iter() {
@@ -220,11 +213,6 @@ impl ServeConfig {
         if let Some(v) = object.get("degrade_recover_ms") {
             config.degrade_recover_ms = serde::Deserialize::from_value(v)
                 .map_err(|e| format!("`degrade_recover_ms`: {e}"))?;
-        }
-        if let Some(v) = object.get("metrics_enabled") {
-            config.metrics_enabled = v
-                .as_bool()
-                .ok_or_else(|| format!("`metrics_enabled` must be a bool, got {}", v.kind()))?;
         }
         if let Some(v) = object.get("trace_capacity") {
             config.trace_capacity =
@@ -322,7 +310,6 @@ impl ServeConfig {
             "degrade_recover_ms",
             serde::Serialize::to_value(&self.degrade_recover_ms),
         );
-        object.insert("metrics_enabled", serde::Value::Bool(self.metrics_enabled));
         object.insert(
             "trace_capacity",
             serde::Serialize::to_value(&self.trace_capacity),
@@ -374,7 +361,6 @@ mod tests {
                 "degrade_threshold": 5,
                 "degrade_window_ms": 400,
                 "degrade_recover_ms": 900,
-                "metrics_enabled": false,
                 "trace_capacity": 32
             }"#,
         )
@@ -394,7 +380,6 @@ mod tests {
         assert_eq!(config.degrade_threshold, 5);
         assert_eq!(config.degrade_window_ms, 400);
         assert_eq!(config.degrade_recover_ms, 900);
-        assert!(!config.metrics_enabled);
         assert_eq!(config.trace_capacity, 32);
     }
 
@@ -434,8 +419,13 @@ mod tests {
         assert!(err.contains("max_connections"), "{err}");
         let err = ServeConfig::from_json(r#"{"degrade_window_ms": 0}"#).unwrap_err();
         assert!(err.contains("degrade_window_ms"), "{err}");
-        let err = ServeConfig::from_json(r#"{"metrics_enabled": "yes"}"#).unwrap_err();
-        assert!(err.contains("metrics_enabled"), "{err}");
+        // The metrics registry is always live, so `metrics_enabled` is not a
+        // setting: a config naming it fails by name, not silently.
+        let err = ServeConfig::from_json(r#"{"metrics_enabled": false}"#).unwrap_err();
+        assert!(
+            err.contains("unknown serve field `metrics_enabled`"),
+            "{err}"
+        );
         assert!(ServeConfig::from_json("not json").is_err());
     }
 }

@@ -1,5 +1,5 @@
-//! A self-contained graph + embedding fixture, shared by the serve tests,
-//! the CI smoke job and the `bench_serve` load generator — all of which
+//! A self-contained graph + embedding fixture, shared by the serve tests
+//! and the `nrp_serve --fixture` mode of the CI smoke job — both of which
 //! need a realistic-but-small workload with no data files.
 
 use nrp_core::{Embedding, Nrp, NrpParams};

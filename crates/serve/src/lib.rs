@@ -56,9 +56,9 @@
 //!   deadlines, and degradation only ever *redirect or abort* work; they
 //!   never alter a value that is returned.
 //!
-//! The `bench_serve` binary in `nrp-bench` drives this server with a
-//! Zipf-skewed closed-loop load (p50/p99 latency and qps) plus an
-//! open-loop overload scenario (shed rate, goodput, bounded p99).
+//! The repository benchmark (`perfbench/`, workloads `serve-hot` and
+//! `serve-cold`) drives the real `nrp_serve` binary under Zipf and uniform
+//! load and checks every sampled answer bitwise against the kernel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -165,8 +165,7 @@ pub struct ServeState {
     /// Connections currently being served (the accept-loop admission gauge).
     inflight: AtomicUsize,
     started: Instant,
-    /// The registry handle every subsystem resolved its instruments from
-    /// (a no-op handle when `config.metrics_enabled` is false).
+    /// The registry handle every subsystem resolved its instruments from.
     metrics: MetricsHandle,
     serve_metrics: ServeMetrics,
     trace_ids: TraceIds,
@@ -177,16 +176,11 @@ impl ServeState {
     /// Assembles the state: builds the cache, spawns the batching
     /// dispatcher on a warm [`EmbedContext`] worker pool sized by
     /// `config.threads`, and resolves every telemetry instrument from one
-    /// server-scoped registry (or a no-op handle when
-    /// `config.metrics_enabled` is off).
+    /// server-scoped registry.
     pub fn new(graph: Graph, embedding: Option<Embedding>, config: ServeConfig) -> Self {
         let graph = Arc::new(graph);
         let cache = Arc::new(Mutex::new(PprCache::new(config.cache_capacity)));
-        let metrics = if config.metrics_enabled {
-            MetricsHandle::enabled()
-        } else {
-            MetricsHandle::noop()
-        };
+        let metrics = MetricsHandle::enabled();
         let serve_metrics = ServeMetrics::new(&metrics);
         let ctx = EmbedContext::new()
             .with_threads(config.threads)
@@ -603,7 +597,7 @@ impl ServeState {
             serde::Serialize::to_value(&self.degrade.recoveries()),
         );
         // Per-endpoint shed/timeout split, read from the registry counters
-        // the router maintains (zeros with metrics disabled).
+        // the router maintains.
         let mut by_endpoint = serde::Map::new();
         for endpoint in &self.serve_metrics.endpoints {
             let mut entry = serde::Map::new();
@@ -627,8 +621,7 @@ impl ServeState {
             "max_connections",
             serde::Serialize::to_value(&self.config.max_connections),
         );
-        // Per-endpoint latency quantiles from the registry histograms
-        // (empty counts with metrics disabled).
+        // Per-endpoint latency quantiles from the registry histograms.
         let mut latency = serde::Map::new();
         for endpoint in &self.serve_metrics.endpoints {
             let snapshot = endpoint.latency_us.snapshot();
@@ -645,10 +638,6 @@ impl ServeState {
             latency.insert(endpoint.name, serde::Value::Object(entry));
         }
         let mut telemetry = serde::Map::new();
-        telemetry.insert(
-            "metrics_enabled",
-            serde::Value::Bool(self.metrics.is_enabled()),
-        );
         telemetry.insert(
             "trace_capacity",
             serde::Serialize::to_value(&self.config.trace_capacity),

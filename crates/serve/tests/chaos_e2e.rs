@@ -177,7 +177,9 @@ fn a_deadline_expiring_mid_compute_becomes_a_504() {
 fn queue_saturation_sheds_with_well_formed_503s() {
     // One slot of queue and a 150ms delay on the first two computes: the
     // burst below must split into a few successes and fast, well-formed
-    // 503 sheds — never hangs, never malformed responses.
+    // 503 sheds (or 504s past the deadline) — never hangs, never malformed
+    // responses, and every answer well inside twice the request deadline.
+    const DEADLINE_MS: u64 = 500;
     let _scope = FaultScope::install("batcher.compute=delay(150):1.0:2", 1);
     let server = start_server(ServeConfig {
         queue_capacity: 1,
@@ -192,9 +194,19 @@ fn queue_saturation_sheds_with_well_formed_503s() {
                 let addr = server.addr();
                 scope.spawn(move || {
                     let mut client = HttpClient::new(addr);
+                    let sent = std::time::Instant::now();
                     let response = client
-                        .get_full(&format!("/ppr?source={source}&top=4"), &[])
-                        .expect("a response, success or shed");
+                        .get_full(
+                            &format!("/ppr?source={source}&top=4"),
+                            &[("x-deadline-ms", &DEADLINE_MS.to_string())],
+                        )
+                        .expect("a response: success, shed or timeout");
+                    let elapsed = sent.elapsed();
+                    assert!(
+                        elapsed <= std::time::Duration::from_millis(2 * DEADLINE_MS),
+                        "status {} took {elapsed:?}, over twice the deadline",
+                        response.status
+                    );
                     (response.status, response.retry_after, response.body)
                 })
             })
@@ -207,12 +219,21 @@ fn queue_saturation_sheds_with_well_formed_503s() {
 
     let ok = outcomes.iter().filter(|(s, _, _)| *s == 200).count();
     let shed: Vec<_> = outcomes.iter().filter(|(s, _, _)| *s == 503).collect();
+    let timed_out: Vec<_> = outcomes.iter().filter(|(s, _, _)| *s == 504).collect();
     assert!(ok >= 1, "someone got through: {outcomes:?}");
     assert!(
         !shed.is_empty(),
         "the 1-slot queue shed someone: {outcomes:?}"
     );
-    assert_eq!(ok + shed.len(), outcomes.len(), "only 200s and 503s");
+    assert_eq!(
+        ok + shed.len() + timed_out.len(),
+        outcomes.len(),
+        "only 200s, 503s and 504s"
+    );
+    for (_, _, body) in &timed_out {
+        let text = std::str::from_utf8(body).expect("JSON body");
+        assert!(text.contains("deadline"), "{text}");
+    }
     for (_, retry_after, body) in &shed {
         assert_eq!(
             *retry_after,
@@ -234,6 +255,14 @@ fn queue_saturation_sheds_with_well_formed_503s() {
             .and_then(|v| v.as_str()),
         Some("ok")
     );
+    // The computes that did run left kernel-time samples in /metrics.
+    let metrics = nrp_serve::get_text_once(server.addr(), "/metrics").expect("/metrics");
+    let compute_samples = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("nrp_batch_compute_us_count "))
+        .and_then(|count| count.trim().parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no nrp_batch_compute_us_count in:\n{metrics}"));
+    assert!(compute_samples > 0, "no kernel-compute samples");
     server.shutdown();
 }
 

@@ -261,17 +261,76 @@ fn exact_ppr_is_bitwise_identical_to_direct_call_cached_or_not() {
     server.shutdown();
 }
 
+/// Every `/ppr` push answer is bitwise equal to a direct
+/// `forward_push_with_policy` call, for every cell of {1, 4} server threads
+/// × {no cache, warm cache} under concurrent keep-alive clients: no request
+/// errors, and each request is counted exactly once as a cache hit or miss.
 #[test]
 fn push_ppr_matches_forward_push_exactly() {
-    let server = start_server(test_config());
+    const CLIENTS: usize = 4;
+    const PASSES: usize = 2;
     let (graph, _) = fixture_parts();
-    let config = server.state().config().clone();
-    let mut client = HttpClient::new(server.addr());
+    let sources: Vec<u32> = (0..16).map(|i| i * 7 % FIXTURE_NODES as u32).collect();
+    let defaults = test_config();
+    let direct: Vec<_> = sources
+        .iter()
+        .map(|&source| {
+            forward_push_with_policy(
+                graph,
+                source,
+                defaults.alpha,
+                defaults.r_max,
+                defaults.dangling,
+            )
+            .expect("direct push")
+        })
+        .collect();
 
-    let source = 5u32;
-    let answer = client
-        .get_json(&format!("/ppr?source={source}"))
-        .expect("/ppr push");
+    for threads in [1, 4] {
+        for cache_capacity in [0, 4096] {
+            let cell = format!("{threads} threads, cache {cache_capacity}");
+            let server = start_server(ServeConfig {
+                threads,
+                cache_capacity,
+                ..test_config()
+            });
+            let addr = server.addr();
+            std::thread::scope(|scope| {
+                for client_id in 0..CLIENTS {
+                    let (sources, direct, cell) = (&sources, &direct, &cell);
+                    scope.spawn(move || {
+                        let mut client = HttpClient::new(addr);
+                        // Each client walks the sources from its own offset,
+                        // so concurrent clients overlap on keys.
+                        for step in 0..PASSES * sources.len() {
+                            let i = (client_id * 5 + step) % sources.len();
+                            let source = sources[i];
+                            let answer = client
+                                .get_json(&format!("/ppr?source={source}"))
+                                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                            assert_push_answer_matches(&answer, &direct[i], cell);
+                        }
+                    });
+                }
+            });
+            let mut client = HttpClient::new(addr);
+            let probes = stat(&mut client, "cache", "hits") + stat(&mut client, "cache", "misses");
+            assert_eq!(
+                probes,
+                (CLIENTS * PASSES * sources.len()) as u64,
+                "{cell}: every /ppr request probes the cache exactly once"
+            );
+            server.shutdown();
+        }
+    }
+}
+
+/// Asserts a `/ppr` push answer carries exactly `direct`'s bits.
+fn assert_push_answer_matches(
+    answer: &serde::Value,
+    direct: &nrp_core::push::PushResult,
+    cell: &str,
+) {
     let object = answer.as_object().unwrap();
     let entries: Vec<(u32, f64)> = object
         .get("entries")
@@ -286,24 +345,25 @@ fn push_ppr_matches_forward_push_exactly() {
             )
         })
         .collect();
-    let direct =
-        forward_push_with_policy(graph, source, config.alpha, config.r_max, config.dangling)
-            .expect("direct push");
-    assert_eq!(entries.len(), direct.estimates.len());
+    assert_eq!(entries.len(), direct.estimates.len(), "{cell}");
     for (served, expected) in entries.iter().zip(direct.estimates.iter()) {
-        assert_eq!(served.0, expected.0);
-        assert_eq!(served.1.to_bits(), expected.1.to_bits());
+        assert_eq!(served.0, expected.0, "{cell}");
+        assert_eq!(served.1.to_bits(), expected.1.to_bits(), "{cell}");
     }
     assert_eq!(
         object.get("num_pushes").and_then(|v| v.as_u64()),
-        Some(direct.num_pushes as u64)
+        Some(direct.num_pushes as u64),
+        "{cell}"
     );
     let served_residual = object
         .get("residual_mass")
         .and_then(|v| v.as_f64())
         .unwrap();
-    assert_eq!(served_residual.to_bits(), direct.residual_mass.to_bits());
-    server.shutdown();
+    assert_eq!(
+        served_residual.to_bits(),
+        direct.residual_mass.to_bits(),
+        "{cell}"
+    );
 }
 
 #[test]
@@ -853,30 +913,41 @@ fn metrics_endpoint_exposes_core_families() {
     server.shutdown();
 }
 
+/// `/debug/traces` serves one JSONL line per retained `/ppr` request, and
+/// `trace_capacity: 0` retains nothing.
 #[test]
 fn debug_traces_returns_recent_jsonl() {
-    let server = start_server(test_config());
-    let mut client = HttpClient::new(server.addr());
-    for source in 0..3 {
-        client
-            .get_json(&format!("/ppr?source={source}&top=4"))
-            .expect("/ppr");
-    }
-    let text = nrp_serve::get_text_once(server.addr(), "/debug/traces").expect("/debug/traces");
-    let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
-    assert_eq!(lines.len(), 3, "one trace per /ppr request:\n{text}");
-    for line in lines {
-        let event: serde::Value = serde_json::from_str(line).expect("JSONL line parses");
-        let object = event.as_object().unwrap();
+    for (trace_capacity, retained) in [(256, 3), (0, 0)] {
+        let server = start_server(ServeConfig {
+            trace_capacity,
+            ..test_config()
+        });
+        let mut client = HttpClient::new(server.addr());
+        for source in 0..3 {
+            client
+                .get_json(&format!("/ppr?source={source}&top=4"))
+                .expect("/ppr");
+        }
+        let text = nrp_serve::get_text_once(server.addr(), "/debug/traces").expect("/debug/traces");
+        let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
         assert_eq!(
-            object.get("endpoint").and_then(|v| v.as_str()),
-            Some("/ppr")
+            lines.len(),
+            retained,
+            "trace_capacity {trace_capacity}:\n{text}"
         );
-        assert_eq!(object.get("status").and_then(|v| v.as_u64()), Some(200));
-        assert!(object.get("trace_id").and_then(|v| v.as_u64()).unwrap() >= 1);
-        assert!(object.get("stages_us").is_some());
+        for line in lines {
+            let event: serde::Value = serde_json::from_str(line).expect("JSONL line parses");
+            let object = event.as_object().unwrap();
+            assert_eq!(
+                object.get("endpoint").and_then(|v| v.as_str()),
+                Some("/ppr")
+            );
+            assert_eq!(object.get("status").and_then(|v| v.as_u64()), Some(200));
+            assert!(object.get("trace_id").and_then(|v| v.as_u64()).unwrap() >= 1);
+            assert!(object.get("stages_us").is_some());
+        }
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 #[test]
@@ -921,44 +992,12 @@ fn stats_reports_queue_depth_latency_and_endpoint_split() {
     assert_eq!(ppr_split.get("shed").and_then(|v| v.as_u64()), Some(0));
     assert_eq!(ppr_split.get("timeouts").and_then(|v| v.as_u64()), Some(0));
     let telemetry = section("telemetry");
-    assert_eq!(
-        telemetry.get("metrics_enabled").and_then(|v| v.as_bool()),
-        Some(true)
-    );
     assert!(
         telemetry
             .get("traces_retained")
             .and_then(|v| v.as_u64())
             .unwrap()
             >= 3
-    );
-    server.shutdown();
-}
-
-#[test]
-fn disabling_metrics_keeps_every_endpoint_serving() {
-    let server = start_server(ServeConfig {
-        metrics_enabled: false,
-        trace_capacity: 0,
-        ..test_config()
-    });
-    let mut client = HttpClient::new(server.addr());
-    client.get_json("/ppr?source=0&top=4").expect("/ppr");
-    // The scrape still answers (derived families only), traces are off.
-    let text = nrp_serve::get_text_once(server.addr(), "/metrics").expect("/metrics");
-    assert!(text.contains("nrp_serve_requests_total"));
-    assert!(!text.contains("nrp_serve_request_latency_us"));
-    let traces = nrp_serve::get_text_once(server.addr(), "/debug/traces").expect("/debug/traces");
-    assert!(traces.is_empty(), "trace_capacity 0 retains nothing");
-    let stats = client.get_json("/stats").expect("/stats");
-    let telemetry = stats
-        .as_object()
-        .and_then(|o| o.get("telemetry"))
-        .and_then(|v| v.as_object())
-        .unwrap();
-    assert_eq!(
-        telemetry.get("metrics_enabled").and_then(|v| v.as_bool()),
-        Some(false)
     );
     server.shutdown();
 }

@@ -67,9 +67,8 @@
 //!
 //! ## Performance
 //!
-//! Three substrate pieces keep the constants small (micro-benchmarks:
-//! `cargo bench -p nrp-bench --bench hotpaths`; measured numbers are checked
-//! in as `BENCH_hotpaths.json`, regenerated by the `bench_hotpaths` bin):
+//! Three substrate pieces keep the constants small (micro-benchmarks of
+//! the first two: `cargo bench -p nrp-bench --bench hotpaths`):
 //!
 //! * **Persistent worker pool.**  A multi-thread
 //!   [`EmbedContext`](nrp_core::context::EmbedContext) owns a
@@ -98,9 +97,8 @@
 //! * **O(nnz) CSR assembly.**  `SparseMatrix::from_triplets` is a two-pass
 //!   stable counting sort (by column, then row) with in-place duplicate
 //!   compaction, and `transpose` is a direct CSR→CSC counting pass — no
-//!   comparison sort, no triplet round-trip (~2.4× faster assembly of
-//!   STRAP's proximity matrix at 10⁶ non-zeros in the baseline
-//!   measurement).
+//!   comparison sort, no triplet round-trip.  Unit tests pin it bitwise
+//!   against a comparison-sort reference assembly.
 //!
 //! The raw-pointer tricks these fast paths lean on are confined to one
 //! allowlisted module and every `unsafe` site carries its `// SAFETY:`
@@ -211,11 +209,9 @@
 //! path, embedding path, listen address, cache capacity, thread budget).
 //! Shutdown is graceful: the listener stops accepting, every connection
 //! finishes the request it is serving, the batcher drains its queue.  The
-//! `bench_serve` binary (`cargo run --release -p nrp-bench --bin
-//! bench_serve`) drives the server over real TCP with a Zipf-skewed
-//! closed-loop load and reports p50/p99 latency and throughput per
-//! (threads × cache regime) cell; measured numbers are checked in as
-//! `BENCH_serve.json`.
+//! repository benchmark (`perfbench/`, workloads `serve-hot` and
+//! `serve-cold`) drives the real daemon over TCP and reports latency,
+//! throughput and a per-stage breakdown of a served request.
 //!
 //! ## Robustness
 //!
@@ -262,9 +258,6 @@
 //! function of `(seed, site, hit)` — the same seed replays the same
 //! injection schedule bit for bit, which is what lets the chaos suite
 //! assert exact outcomes.  Without the feature the hooks compile away.
-//! The `bench_serve` harness adds an open-loop overload scenario (arrival
-//! rate ≈ 1.35× measured capacity) and reports shed rate, goodput, and
-//! ok-only latency percentiles alongside the closed-loop cells.
 //!
 //! ## Observability
 //!
@@ -275,7 +268,8 @@
 //!   [`MetricsHandle`](nrp_obs::MetricsHandle)) — counters, gauges, and
 //!   log-linear histograms.  Instruments resolve once at startup; the hot
 //!   path is a couple of relaxed atomic ops, and a no-op handle
-//!   (`metrics_enabled: false`) makes every instrument inert.  The server
+//!   ([`MetricsHandle::noop`](nrp_obs::MetricsHandle::noop), the offline
+//!   default of `EmbedContext`) makes every instrument inert.  The server
 //!   exports the registry at `GET /metrics` (Prometheus text) and derives
 //!   additional families at scrape time from the counters subsystems
 //!   already keep.
@@ -295,9 +289,8 @@
 //!
 //! Worker-pool utilization (`nrp_pool_*`), batcher queue depth and stage
 //! histograms (`nrp_batch_*`), per-endpoint latency/shed/timeout series
-//! (`nrp_serve_*`), and cache/degrade counters are all wired in by
-//! default; `bench_serve` measures the on-vs-off overhead and records it
-//! in `BENCH_serve.json`.
+//! (`nrp_serve_*`), and cache/degrade counters are always wired into the
+//! server.
 
 pub use nrp_baselines as baselines;
 pub use nrp_core as core;
