@@ -2,7 +2,7 @@
 //! every embedding method in the workspace (NRP, ApproxPPR and all
 //! baselines).
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use nrp_graph::{Graph, NodeId};
@@ -10,6 +10,8 @@ use nrp_linalg::DenseMatrix;
 
 use crate::context::{EmbedContext, EmbedOutput};
 use crate::{NrpError, Result};
+
+mod json;
 
 /// A set of node embeddings.
 ///
@@ -126,45 +128,64 @@ impl Embedding {
         self.forward.is_finite() && self.backward.is_finite()
     }
 
-    /// Serializes the embedding to JSON.
+    /// Serializes the embedding to the JSON document [`Embedding::from_json`]
+    /// reads: one object with the keys `method`, `num_nodes`,
+    /// `half_dimension`, `forward` and `backward`, the two matrices as flat
+    /// row-major arrays.  Every finite entry is written in Rust's shortest
+    /// round-trip form, so the document reads back bit for bit; NaN and
+    /// infinities are written as `null`, which the reader rejects.
     pub fn to_json(&self) -> Result<String> {
-        let serializable = SerializableEmbedding {
-            method: self.method.clone(),
-            num_nodes: self.num_nodes(),
-            half_dimension: self.half_dimension(),
-            forward: self.forward.data().to_vec(),
-            backward: self.backward.data().to_vec(),
-        };
-        serde_json::to_string(&serializable).map_err(|e| NrpError::Serialization(e.to_string()))
+        let mut out = Vec::new();
+        json::write_document(self, &mut out)?;
+        String::from_utf8(out).map_err(|e| NrpError::Serialization(e.to_string()))
     }
 
-    /// Deserializes an embedding from JSON.
+    /// Parses a document written by [`Embedding::to_json`].
+    ///
+    /// **Accepted:** a single JSON object, with optional whitespace around
+    /// any token, holding each of `method` (a string), `num_nodes` and
+    /// `half_dimension` (non-negative integers; an integral float such as
+    /// `3.0` also counts), `forward` and `backward` (flat arrays of
+    /// `num_nodes × half_dimension` numbers) exactly once, in any order.
+    /// Array entries may be integers or floats with an optional exponent;
+    /// an integer `-0` reads as `+0.0`.
+    ///
+    /// **Rejected**, each as [`NrpError::Serialization`] naming the byte
+    /// offset: malformed JSON, trailing bytes, unknown or repeated keys, a
+    /// missing key, a non-number in an array (`null`, strings, nested
+    /// arrays), a negative or fractional size, and arrays whose length is
+    /// not `num_nodes × half_dimension` (or whose product overflows).
+    ///
+    /// **Memory:** the two factor matrices, sized from the array text rather
+    /// than from the header, next to the caller's document.  `forward` is
+    /// parsed on the calling thread and `backward` on one scoped thread
+    /// (inline if the thread cannot be spawned); the result does not depend
+    /// on which.
     pub fn from_json(json: &str) -> Result<Self> {
-        let raw: SerializableEmbedding =
-            serde_json::from_str(json).map_err(|e| NrpError::Serialization(e.to_string()))?;
-        let forward = DenseMatrix::from_vec(raw.num_nodes, raw.half_dimension, raw.forward)
-            .map_err(NrpError::Linalg)?;
-        let backward = DenseMatrix::from_vec(raw.num_nodes, raw.half_dimension, raw.backward)
-            .map_err(NrpError::Linalg)?;
-        Embedding::new(forward, backward, raw.method)
+        json::parse_document(json.as_bytes())
     }
 
-    /// Writes the embedding to a file as JSON.
+    /// Writes the embedding to a file in the [`Embedding::to_json`] format,
+    /// streaming the numbers without building the document in memory.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
         let file = std::fs::File::create(path)?;
         let mut writer = BufWriter::new(file);
-        writer.write_all(self.to_json()?.as_bytes())?;
+        json::write_document(self, &mut writer)?;
         writer.flush()?;
         Ok(())
     }
 
     /// Reads an embedding previously written by [`Embedding::save`].
+    ///
+    /// Reads the file once into memory and parses it as
+    /// [`Embedding::from_json`] does (same format, same rejections; bytes
+    /// that are not UTF-8 inside the `method` string are rejected too).
+    /// Peak memory is the file plus the two factor matrices at 8 bytes per
+    /// entry: a 50,000-node, 128-dimension embedding is a 126 MB file and
+    /// 51 MB of factors.  The file buffer is freed before this returns.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let file = std::fs::File::open(path)?;
-        let mut reader = BufReader::new(file);
-        let mut json = String::new();
-        reader.read_to_string(&mut json)?;
-        Self::from_json(&json)
+        let bytes = std::fs::read(path)?;
+        json::parse_document(&bytes)
     }
 }
 
@@ -176,22 +197,6 @@ fn normalized(v: &[f64]) -> Vec<f64> {
         v.to_vec()
     }
 }
-
-struct SerializableEmbedding {
-    method: String,
-    num_nodes: usize,
-    half_dimension: usize,
-    forward: Vec<f64>,
-    backward: Vec<f64>,
-}
-
-serde::impl_struct_serde!(SerializableEmbedding {
-    method,
-    num_nodes,
-    half_dimension,
-    forward,
-    backward
-});
 
 /// A method that maps a graph to node embeddings (interface v2).
 ///

@@ -45,9 +45,13 @@ impl DenseMatrix {
 
     /// Creates a matrix from a row-major data vector.
     ///
-    /// Returns an error if `data.len() != rows * cols`.
+    /// Returns an error if `rows * cols` overflows or differs from
+    /// `data.len()`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        let len = rows.checked_mul(cols).ok_or_else(|| {
+            LinalgError::InvalidParameter(format!("{rows}x{cols} matrix size overflows usize"))
+        })?;
+        if data.len() != len {
             return Err(LinalgError::InvalidParameter(format!(
                 "data length {} does not match {rows}x{cols}",
                 data.len()
@@ -613,6 +617,16 @@ mod tests {
     fn from_vec_checks_length() {
         assert!(DenseMatrix::from_vec(2, 2, vec![1.0; 3]).is_err());
         assert!(DenseMatrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
+    }
+
+    #[test]
+    fn from_vec_rejects_an_overflowing_shape() {
+        // 2^32 · 2^32 wraps to 0, which would match an empty vector.
+        let err = DenseMatrix::from_vec(1 << 32, 1 << 32, Vec::new()).unwrap_err();
+        assert!(
+            matches!(&err, LinalgError::InvalidParameter(m) if m.contains("overflows")),
+            "{err}"
+        );
     }
 
     #[test]

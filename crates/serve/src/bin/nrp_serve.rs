@@ -89,10 +89,19 @@ fn run() -> Result<(), String> {
             let graph = nrp_graph::io::read_edge_list(path, config.graph_kind)
                 .map_err(|e| format!("cannot load graph `{path}`: {e}"))?;
             let embedding = match &config.embedding {
-                Some(path) => Some(
-                    Embedding::load(path)
-                        .map_err(|e| format!("cannot load embedding `{path}`: {e}"))?,
-                ),
+                Some(embedding_path) => {
+                    let embedding = Embedding::load(embedding_path)
+                        .map_err(|e| format!("cannot load embedding `{embedding_path}`: {e}"))?;
+                    if embedding.num_nodes() != graph.num_nodes() {
+                        return Err(format!(
+                            "embedding `{embedding_path}` covers {} nodes but graph `{path}` \
+                             has {}: they must describe the same node set",
+                            embedding.num_nodes(),
+                            graph.num_nodes()
+                        ));
+                    }
+                    Some(embedding)
+                }
                 None => None,
             };
             (graph, embedding)

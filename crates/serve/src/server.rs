@@ -8,8 +8,8 @@
 //! | `GET /healthz` | — | liveness + graph size |
 //! | `GET /stats` | — | cache/batch/request counters, uptime |
 //! | `GET /ppr` | `source` (required), `alpha`, `r_max`, `mode=push\|exact`, `top` | single-source PPR from the cache, or through the batcher on a miss |
-//! | `GET /knn` | `source` (required), `k` | top-K nearest neighbours by embedding score |
-//! | `GET /recommend` | `source` (required), `k` | top-K *unlinked* candidates (link prediction) |
+//! | `GET /knn` | `source` (required), `k` | top-K nearest neighbours by embedding score (empty for an all-zero source vector; 409 if the embedding's node count differs from the graph's) |
+//! | `GET /recommend` | `source` (required), `k` | top-K *unlinked* candidates (link prediction), same rules as `/knn` |
 //! | `GET /metrics` | — | Prometheus text exposition of every instrument family |
 //! | `GET /debug/traces` | — | JSONL dump of the most recent per-request traces |
 //!
@@ -905,7 +905,9 @@ impl ServeState {
     }
 
     /// `/knn` (`unlinked_only == false`) and `/recommend` (`true`): top-K by
-    /// forward·backward score, ties broken by ascending node id.
+    /// forward·backward score, ties broken by ascending node id.  A source
+    /// whose forward vector is all zero scores 0 against every node, so it
+    /// gets an empty list rather than id-ordered ties.
     fn handle_topk(&self, request: &Request, unlinked_only: bool) -> Response {
         let embedding = match &self.embedding {
             Some(embedding) => embedding,
@@ -916,6 +918,16 @@ impl ServeState {
                 )
             }
         };
+        let n = self.graph.num_nodes();
+        if embedding.num_nodes() != n {
+            return error_response(
+                409,
+                &format!(
+                    "the embedding covers {} nodes but the graph has {n}",
+                    embedding.num_nodes()
+                ),
+            );
+        }
         let source = match self.parse_source(request) {
             Ok(source) => source,
             Err(response) => return *response,
@@ -932,18 +944,21 @@ impl ServeState {
                 }
             },
         };
-        let n = self.graph.num_nodes();
-        let mut scored: Vec<(u32, f64)> = Vec::with_capacity(n.saturating_sub(1));
-        for v in 0..n as u32 {
-            if v == source {
-                continue;
+        let top = if embedding.forward_vector(source).iter().all(|&x| x == 0.0) {
+            Vec::new()
+        } else {
+            let mut scored: Vec<(u32, f64)> = Vec::with_capacity(n.saturating_sub(1));
+            for v in 0..n as u32 {
+                if v == source {
+                    continue;
+                }
+                if unlinked_only && self.graph.has_arc(source, v) {
+                    continue;
+                }
+                scored.push((v, embedding.score(source, v)));
             }
-            if unlinked_only && self.graph.has_arc(source, v) {
-                continue;
-            }
-            scored.push((v, embedding.score(source, v)));
-        }
-        let top = top_entries(scored, k);
+            top_entries(scored, k)
+        };
         let mut object = serde::Map::new();
         object.insert("source", serde::Serialize::to_value(&source));
         object.insert("k", serde::Serialize::to_value(&k));

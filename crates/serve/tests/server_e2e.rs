@@ -442,6 +442,100 @@ fn server_without_embedding_rejects_knn_but_serves_ppr() {
     server.shutdown();
 }
 
+/// The `nrp_serve --fixture 300` workload: node 0 of its directed
+/// Barabási–Albert graph has no out-arcs, so NRP gives it a zero forward
+/// vector and every score from it is 0.
+#[test]
+fn a_zero_vector_source_gets_an_empty_answer() {
+    let (graph, embedding) = fixture(300, 42);
+    assert_eq!(graph.out_degree(0), 0);
+    assert!(embedding.forward_vector(0).iter().all(|&x| x == 0.0));
+    let busy = (1..300u32)
+        .find(|&u| graph.out_degree(u) > 0 && embedding.forward_vector(u).iter().any(|&x| x != 0.0))
+        .expect("some source has out-arcs");
+    let server = Server::start(ServeState::new(graph, Some(embedding), test_config()))
+        .expect("server starts");
+    let mut client = HttpClient::new(server.addr());
+    let list = |client: &mut HttpClient, path: &str, field: &str| {
+        client
+            .get_json(path)
+            .unwrap_or_else(|e| panic!("{path}: {e}"))
+            .as_object()
+            .and_then(|o| o.get(field))
+            .and_then(|v| v.as_array())
+            .map(|a| a.len())
+            .unwrap_or_else(|| panic!("{path} lacks `{field}`"))
+    };
+    assert_eq!(list(&mut client, "/knn?source=0&k=5", "neighbors"), 0);
+    assert_eq!(
+        list(&mut client, "/recommend?source=0&k=5", "recommendations"),
+        0
+    );
+    let path = format!("/knn?source={busy}&k=5");
+    assert_eq!(list(&mut client, &path, "neighbors"), 5);
+    server.shutdown();
+}
+
+/// An embedding with fewer rows than the graph has nodes must not panic
+/// the top-K endpoints; `/ppr` does not read the embedding and still works.
+#[test]
+fn a_short_embedding_answers_409_on_topk_endpoints() {
+    let graph = nrp_graph::generators::barabasi_albert(10, 2, nrp_graph::GraphKind::Directed, 1)
+        .expect("graph");
+    let short = nrp_core::Embedding::symmetric(nrp_linalg::DenseMatrix::zeros(5, 2), "short");
+    let server =
+        Server::start(ServeState::new(graph, Some(short), test_config())).expect("server starts");
+    let mut client = HttpClient::new(server.addr());
+    for path in ["/knn?source=7", "/recommend?source=7", "/knn?source=2"] {
+        let err = client.get_json(path).expect_err("mismatch is refused");
+        assert!(
+            err.contains("status 409") && err.contains("covers 5 nodes"),
+            "{path}: {err}"
+        );
+    }
+    client
+        .get_json("/ppr?source=7&top=3")
+        .expect("/ppr still works");
+    server.shutdown();
+}
+
+/// `nrp_serve` refuses to boot when the embedding file and the graph file
+/// disagree on the node count.
+#[test]
+fn nrp_serve_refuses_an_embedding_of_another_graph() {
+    let dir = tempfile::tempdir().expect("tempdir");
+    let graph = nrp_graph::generators::barabasi_albert(10, 2, nrp_graph::GraphKind::Directed, 1)
+        .expect("graph");
+    let graph_path = dir.path().join("graph.edges");
+    nrp_graph::io::write_edge_list(&graph, &graph_path).expect("edge list");
+    let embedding_path = dir.path().join("embedding.json");
+    nrp_core::Embedding::symmetric(nrp_linalg::DenseMatrix::zeros(5, 2), "short")
+        .save(&embedding_path)
+        .expect("embedding");
+    let config = ServeConfig {
+        graph: Some(graph_path.display().to_string()),
+        graph_kind: nrp_graph::GraphKind::Directed,
+        embedding: Some(embedding_path.display().to_string()),
+        ..test_config()
+    };
+    let config_path = dir.path().join("serve.json");
+    std::fs::write(&config_path, config.to_json_pretty()).expect("config");
+    // With stdin at EOF a daemon that did boot would shut down cleanly, so
+    // a wrong answer shows as success, not as a hang.
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_nrp_serve"))
+        .arg("--config")
+        .arg(&config_path)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("nrp_serve runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "booted anyway: {stderr}");
+    assert!(
+        stderr.contains("covers 5 nodes but graph") && stderr.contains("has 10"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn a_stale_keep_alive_connection_reconnects_transparently() {
     // The server idle-closes keep-alive connections after read_timeout_ms.
